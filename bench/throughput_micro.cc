@@ -2,7 +2,8 @@
  * @file
  * Whole-buffer simulation throughput (slots per second) for
  * representative RADS and CFDS configurations, with and without the
- * golden checker -- the repo's perf baseline harness.
+ * golden checker, plus idle-heavy configurations where the
+ * quiescent-slot skip dominates -- the repo's perf baseline harness.
  *
  * Formerly a Google-Benchmark binary; now a plain harness on the
  * sweep engine so it always builds, shares the uniform
@@ -36,6 +37,7 @@ enum class Wl
 {
     Uniform,
     WorstCase,
+    Idle,  //!< sparse traffic: mostly-quiescent slots
 };
 
 struct Config
@@ -57,7 +59,23 @@ constexpr Config kConfigs[] = {
     {"cfds_worstcase_checked_q8", 8, 8, 2, 32, Wl::WorstCase, true},
     {"cfds_worstcase_checked_q64", 64, 8, 2, 32, Wl::WorstCase, true},
     {"rads_worstcase_checked_q64", 64, 8, 8, 1, Wl::WorstCase, true},
+    {"rads_idle_q64", 64, 8, 8, 1, Wl::Idle, false},
+    {"cfds_idle_q64", 64, 8, 2, 32, Wl::Idle, false},
 };
+
+const char *
+wlName(Wl w)
+{
+    switch (w) {
+      case Wl::Uniform:
+        return "uniform";
+      case Wl::WorstCase:
+        return "worstcase";
+      case Wl::Idle:
+        return "idle";
+    }
+    return "?";
+}
 
 sweep::TaskResult
 measure(const Config &c, std::uint64_t min_slots)
@@ -67,11 +85,15 @@ measure(const Config &c, std::uint64_t min_slots)
                                      c.banks};
     HybridBuffer buf(cfg);
     std::unique_ptr<Workload> wl;
-    if (c.wl == Wl::Uniform)
-        wl = std::make_unique<UniformRandom>(c.queues, 11, 0.95);
-    else
+    if (c.wl == Wl::WorstCase) {
         wl = std::make_unique<RoundRobinWorstCase>(c.queues, 3, 1.0,
                                                    64);
+    } else {
+        // Idle: 5% load, the line is idle most slots -- the regime
+        // the quiescent skip is built for (lightly loaded ports).
+        wl = std::make_unique<UniformRandom>(
+            c.queues, 11, c.wl == Wl::Idle ? 0.05 : 0.95);
+    }
     SimRunner runner(buf, *wl, c.check);
 
     // Warm the pipeline and caches out of the measured window.
@@ -97,8 +119,7 @@ measure(const Config &c, std::uint64_t min_slots)
                   "%-28s Q=%-3u B=%-2u b=%-2u M=%-3u %-9s chk=%d"
                   " %10.2f Mslots/s\n",
                   c.name, c.queues, c.granRads, c.gran, c.banks,
-                  c.wl == Wl::Uniform ? "uniform" : "worstcase",
-                  c.check ? 1 : 0, slots_per_sec / 1e6);
+                  wlName(c.wl), c.check ? 1 : 0, slots_per_sec / 1e6);
     r.text = buf2;
     sweep::Record rec;
     rec.set("name", c.name)
@@ -106,8 +127,7 @@ measure(const Config &c, std::uint64_t min_slots)
         .set("B", c.granRads)
         .set("b", c.gran)
         .set("banks", c.banks)
-        .set("workload",
-             c.wl == Wl::Uniform ? "uniform" : "worstcase")
+        .set("workload", wlName(c.wl))
         .set("checker", c.check)
         .set("slots", slots)
         .set("seconds", secs)

@@ -9,7 +9,7 @@
  *                [--iters N] [--window N] [--variant NAME]
  *                [--load F] [--slots N] [--seed N]
  *                [--hot-outputs K] [--hot-fraction F] [--burst N]
- *                [--victim P] [--engine reference|event] [--smoke]
+ *                [--victim P] [--smoke]
  *                [--list] [--json PATH] [--csv PATH]
  *
  * The fabric is lockstep by construction (the matching couples all
@@ -43,7 +43,7 @@ usage(const char *prog)
         "          [--iters N] [--window N] [--variant NAME]\n"
         "          [--load F] [--slots N] [--seed N]\n"
         "          [--hot-outputs K] [--hot-fraction F] [--burst N]\n"
-        "          [--victim P] [--engine reference|event] [--smoke]\n"
+        "          [--victim P] [--smoke]\n"
         "          [--list] [--json PATH] [--csv PATH]\n"
         "  --ports      crossbar radix (default 4)\n"
         "  --pattern    uniform | hotspot | incast | permutation\n"
@@ -56,8 +56,6 @@ usage(const char *prog)
         "  --seed       master seed; input i uses splitmix(seed, i)\n"
         "  --hot-outputs / --hot-fraction   hotspot shape\n"
         "  --victim / --burst               incast shape\n"
-        "  --engine     reference (per-slot loop) | event (calendar\n"
-        "               core); identical output either way\n"
         "  --smoke      reduced slots for CI\n"
         "  --list       print the resolved input plans, don't run\n"
         "  --json/--csv  write result records ('-' = stdout)\n",
@@ -140,14 +138,6 @@ main(int argc, char **argv)
                 std::strtoul(next(), nullptr, 0));
         } else if (!std::strcmp(argv[i], "--burst")) {
             cfg.incastBurst = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            const std::string tok = next();
-            if (tok == "event") {
-                cfg.eventEngine = true;
-            } else if (tok != "reference") {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
         } else if (!std::strcmp(argv[i], "--list")) {

@@ -9,14 +9,7 @@
  *
  *   scenario_matrix [--smoke] [--timing] [--list] [--filter SUBSTR]
  *                   [--seed N] [--seed-exact N] [--slots N]
- *                   [--engine reference|event] [--jobs N]
- *                   [--json PATH] [--csv PATH]
- *
- * --engine event runs every leg on the event-calendar core; the
- * engine is a pure execution strategy (excluded from leg names and
- * records), so the output must stay byte-identical to --engine
- * reference -- which is exactly what the CI differential smoke
- * asserts with cmp.
+ *                   [--jobs N] [--json PATH] [--csv PATH]
  *
  * --timing selects the timed-DRAM adversarial matrix (refresh storm,
  * turnaround thrash, asymmetric bank groups) instead of the legacy
@@ -73,9 +66,6 @@ usage(const char *prog)
                  "             (replays a failure from its logged"
                  " seed)\n"
                  "  --slots    override every leg's slot count\n"
-                 "  --engine   reference (per-slot loop) | event"
-                 " (calendar core);\n"
-                 "             identical output either way\n"
                  "  --jobs     worker threads (0 = all cores);"
                  " output is\n"
                  "             byte-identical for any value\n"
@@ -100,7 +90,6 @@ main(int argc, char **argv)
     bool have_seed_exact = false;
     std::uint64_t slots_override = 0;
     bool have_slots = false;
-    bool event_engine = false;
     unsigned jobs = 1;
     std::string json_path;
     std::string csv_path;
@@ -124,14 +113,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--slots") && i + 1 < argc) {
             slots_override = std::strtoull(argv[++i], nullptr, 0);
             have_slots = true;
-        } else if (!std::strcmp(argv[i], "--engine") && i + 1 < argc) {
-            const std::string tok = argv[++i];
-            if (tok == "event") {
-                event_engine = true;
-            } else if (tok != "reference") {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
             jobs = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 0));
@@ -165,7 +146,6 @@ main(int argc, char **argv)
             s.slots = slots_override;
         if (have_seed_exact)
             s.seed = seed_exact;
-        s.eventEngine = event_engine;
         selected.push_back(s);
     }
 

@@ -9,7 +9,7 @@
  *   switch_sim [--ports N] [--pattern NAME] [--variant NAME|mixed]
  *              [--queues Q] [--load F] [--slots N] [--seed N]
  *              [--hot-ports K] [--hot-fraction F] [--burst N]
- *              [--victim P] [--engine reference|event] [--smoke]
+ *              [--victim P] [--smoke]
  *              [--list] [--stats] [--jobs N] [--json PATH]
  *              [--csv PATH]
  *
@@ -46,7 +46,7 @@ usage(const char *prog)
         "usage: %s [--ports N] [--pattern NAME] [--variant NAME]\n"
         "          [--queues Q] [--load F] [--slots N] [--seed N]\n"
         "          [--hot-ports K] [--hot-fraction F] [--burst N]\n"
-        "          [--victim P] [--engine reference|event] [--smoke]\n"
+        "          [--victim P] [--smoke]\n"
         "          [--list] [--stats] [--jobs N] [--json PATH]\n"
         "          [--csv PATH]\n"
         "  --ports     port count (default 4)\n"
@@ -58,8 +58,6 @@ usage(const char *prog)
         "  --seed      master seed; port p uses splitmix(seed, p)\n"
         "  --hot-ports / --hot-fraction   hotspot shape\n"
         "  --victim / --burst             incast shape\n"
-        "  --engine    reference (per-slot loop) | event (calendar\n"
-        "              core); identical output either way\n"
         "  --smoke     reduced slots for CI\n"
         "  --list      print the resolved port plans, don't run\n"
         "  --stats     dump the namespaced per-port stat registry\n"
@@ -141,14 +139,6 @@ main(int argc, char **argv)
                 std::strtoul(next(), nullptr, 0));
         } else if (!std::strcmp(argv[i], "--burst")) {
             cfg.incastBurst = std::strtoull(next(), nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            const std::string tok = next();
-            if (tok == "event") {
-                cfg.eventEngine = true;
-            } else if (tok != "reference") {
-                usage(argv[0]);
-                return 2;
-            }
         } else if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
         } else if (!std::strcmp(argv[i], "--list")) {

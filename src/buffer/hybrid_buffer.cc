@@ -221,8 +221,7 @@ resolveGroupCapacity(const BufferConfig &cfg, unsigned groups)
 HybridBuffer::HybridBuffer(const BufferConfig &cfg)
     : cfg_(cfg),
       rads_(cfg.params.isRads()),
-      event_core_(cfg.eventCore),
-      event_skip_(cfg.eventCore && cfg.mma == MmaKind::Ecqf),
+      event_skip_(cfg.mma == MmaKind::Ecqf),
       phys_queues_(cfg.params.queues),
       gran_(cfg.params.gran),
       gran_rads_(cfg.params.granRads),
@@ -267,10 +266,9 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
     sched_ = std::make_unique<dss::DramScheduler>(rr_cap, orr_, true,
                                                   &stats_);
 
-    // Arm the t-SRAM eligibility bitmap at the tail-MMA threshold in
-    // *both* engines: maintenance is O(1) per mutation and keeping
-    // the derived state engine-agnostic means checkpoints restore
-    // across engines without special cases.
+    // Arm the t-SRAM eligibility bitmap at the tail-MMA threshold:
+    // the tail MMA's round-robin pick scans it (O(1) maintenance per
+    // mutation).
     tail_.setThreshold(gran_);
 
     if (cfg_.renaming) {
@@ -373,21 +371,11 @@ HybridBuffer::headMmaDecide(Slot now)
             }
             return bypassReplenish(p);
         };
-        if (event_core_) {
-            // Event engine: the calendar already knows which queues
-            // are critical and replays them in entry-stamp order,
-            // which equals the scan's register-position order
-            // (entries are stamped monotonically as they enter) --
-            // no O(depth) walk.
-            hmma_.calendarDecide(on_critical);
-            return;
-        }
-        // Single pass: every critical queue of the interval is
-        // replenished during one walk of the lookahead (the scan
-        // credits each replenish into its scratch state), instead of
-        // restarting an O(depth) select after every decision.
-        hmma_.scan(look_, [](const PipeEntry &e) { return e.phys; },
-                   on_critical);
+        // The calendar already knows which queues are critical and
+        // replays them in entry-stamp order, which equals the
+        // reference scan's register-position order (entries are
+        // stamped monotonically as they enter) -- no O(depth) walk.
+        hmma_.calendarDecide(on_critical);
         return;
     }
     const unsigned iter_bound = 4 * phys_queues_ + 4;
@@ -475,19 +463,12 @@ HybridBuffer::bypassReplenish(QueueId p)
 void
 HybridBuffer::tailMmaDecide(Slot now)
 {
-    // Event engine: the t-SRAM's eligibility bitmap knows which
-    // queues meet the threshold, so the round-robin pick is a word
-    // scan instead of a probe of every queue.  Same threshold, same
-    // cursor update -- the oracle test holds the two paths equal.
-    const QueueId p =
-        event_core_
-            ? tmma_.selectVia([this](QueueId from) {
-                  return tail_.nextEligible(from);
-              })
-            : tmma_.select(
-                  gran_,
-                  [this](QueueId q) { return tail_.unclaimed(q); },
-                  [](QueueId) { return true; });
+    // The t-SRAM's eligibility bitmap knows which queues meet the
+    // threshold, so the round-robin pick is a word scan instead of a
+    // probe of every queue.  Same threshold, same cursor update as
+    // the reference TailMma::select (held equal by the fuzz test).
+    const QueueId p = tmma_.selectVia(
+        [this](QueueId from) { return tail_.nextEligible(from); });
     if (p == kInvalidQueue)
         return;
     tail_.claim(p, gran_);
@@ -591,11 +572,11 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
 {
     const Slot now = now_;
 
-    // Event-engine idle-slot skip: with no arrival, no request, no
-    // in-flight reads, empty pipeline registers, an empty RR and no
+    // Idle-slot skip: with no arrival, no request, no in-flight
+    // reads, empty pipeline registers, an empty RR and no
     // threshold-eligible tail queue, every phase below is provably a
-    // no-op (the ECQF scan sees no criticals, the tail MMA finds no
-    // eligible queue, the DSA has nothing to launch, no grant is
+    // no-op (the ECQF calendar holds no criticals, the tail MMA finds
+    // no eligible queue, the DSA has nothing to launch, no grant is
     // due), so only the clock advances.  Gated on ECQF
     // (event_skip_): MDQF replenishes from occupancy deficit alone
     // and can legitimately act on such a slot.
@@ -619,9 +600,6 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
                  "request for unknown queue ", request);
     }
     const PipeEntry after_look = look_.shift(in);
-    // Calendar bookkeeping runs in both engines (it is cheap and
-    // keeps every derived structure engine-agnostic, so checkpoints
-    // restore across engines unchanged).
     if (in.phys != kInvalidQueue)
         hmma_.onRequestEntering(in.phys);
     if (after_look.phys != kInvalidQueue) {

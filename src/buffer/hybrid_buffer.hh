@@ -15,6 +15,12 @@
  *
  * The MMA subsystem is literally the same code in both modes, as the
  * paper requires (Section 5.2).
+ *
+ * The buffer's contract (Figure 2): one cell may arrive and one
+ * arbiter request may be issued per time-slot; grants emerge after
+ * the configured pipeline (lookahead, plus the latency register for
+ * CFDS).  Zero misses are *guaranteed*: a grant that cannot be
+ * served from the head SRAM is a simulator panic, not a statistic.
  */
 
 #ifndef PKTBUF_BUFFER_HYBRID_BUFFER_HH
@@ -45,20 +51,28 @@
 namespace pktbuf::buffer
 {
 
-/** `final` so a caller holding a concrete reference (the SimRunner
- *  hot loop) devirtualizes step()/wouldAdmit()/now() entirely. */
-class HybridBuffer final : public PacketBuffer
+class HybridBuffer
 {
   public:
     explicit HybridBuffer(const BufferConfig &cfg);
 
+    /**
+     * Advance one time-slot.
+     *
+     * @param arrival  cell arriving from the line this slot (if any)
+     * @param request  logical queue the arbiter requests this slot
+     *                 (kInvalidQueue for none)
+     * @return the grant emerging from the pipeline this slot, if any
+     */
     std::optional<GrantInfo>
-    step(const std::optional<Cell> &arrival, QueueId request) override;
+    step(const std::optional<Cell> &arrival, QueueId request);
 
-    bool wouldAdmit(QueueId lq) const override;
-    Slot now() const override { return now_; }
-    BufferReport report() const override;
-    const BufferConfig &config() const override { return cfg_; }
+    /** Would an arriving cell for `lq` be admitted right now? */
+    bool wouldAdmit(QueueId lq) const;
+    /** Slots elapsed. */
+    Slot now() const { return now_; }
+    BufferReport report() const;
+    const BufferConfig &config() const { return cfg_; }
 
     /** Resolved lookahead depth (slots). */
     std::uint64_t lookaheadDepth() const { return look_.depth(); }
@@ -69,7 +83,7 @@ class HybridBuffer final : public PacketBuffer
     }
     /** End-to-end request-to-grant pipeline depth (slots). */
     std::uint64_t
-    pipelineDepth() const override
+    pipelineDepth() const
     {
         return lookaheadDepth() + latencyDepth();
     }
@@ -151,8 +165,6 @@ class HybridBuffer final : public PacketBuffer
 
     BufferConfig cfg_;  // ser: config
     bool rads_;  // ser: config
-    /** Event-calendar execution (BufferConfig::eventCore). */
-    bool event_core_;  // ser: config
     /**
      * Idle-slot skipping is only sound when the head MMA is
      * lookahead-driven (ECQF): MDQF replenishes from occupancy

@@ -70,8 +70,8 @@ class ShiftRegister
     }
 
     /** Number of non-idle entries currently held.  O(1): maintained
-     *  incrementally on shift() -- the event engine polls this every
-     *  slot to detect quiescence. */
+     *  incrementally on shift() -- the buffer polls this every slot
+     *  to detect quiescence. */
     std::size_t
     occupancy() const
     {
@@ -96,9 +96,9 @@ class ShiftRegister
      * Rotation-normalized: stages are written head-first with a
      * zero cursor, so two registers holding the same logical
      * contents serialize identically no matter how their storage is
-     * rotated.  (The event engine's idle-slot skip freezes the
-     * cursor while the reference engine rotates it every slot; the
-     * two must still checkpoint byte-for-byte equal.)  Behavior is
+     * rotated.  (The buffer's idle-slot skip freezes the cursor
+     * where a per-slot run would rotate it; the two must still
+     * checkpoint byte-for-byte equal.)  Behavior is
      * rotation-invariant, so loading the normalized form is
      * indistinguishable from the original.
      */

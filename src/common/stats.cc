@@ -9,51 +9,6 @@
 namespace pktbuf
 {
 
-double
-Histogram::percentile(double frac) const
-{
-    if (sampler_.count() == 0)
-        return 0.0;
-    const auto target = static_cast<std::uint64_t>(frac * sampler_.count());
-    // Underflow samples sit below every bucket: if they alone cover
-    // the requested fraction, the percentile is below zero.
-    std::uint64_t seen = underflow_;
-    if (seen > target)
-        return 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        seen += counts_[i];
-        if (seen > target)
-            return (i + 1) * width_;
-    }
-    return counts_.size() * width_;
-}
-
-void
-Histogram::save(ser::Writer &w) const
-{
-    w.real(width_);
-    w.u64(counts_.size());
-    for (const auto c : counts_)
-        w.u64(c);
-    w.u64(underflow_);
-    sampler_.save(w);
-}
-
-void
-Histogram::load(ser::Reader &r)
-{
-    const double width = r.real();
-    fatal_if(width != width_, "checkpoint: histogram bucket width ",
-             width, " != configured ", width_);
-    const auto n = r.u64();
-    fatal_if(n != counts_.size(), "checkpoint: histogram has ", n,
-             " buckets, configured ", counts_.size());
-    for (auto &c : counts_)
-        c = r.u64();
-    underflow_ = r.u64();
-    sampler_.load(r);
-}
-
 void
 P2Quantile::init()
 {

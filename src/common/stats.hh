@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics primitives: scalar counters, min/max/mean
- * trackers, fixed-bucket histograms and a registry that pretty-prints
+ * trackers, streaming quantiles and a registry that pretty-prints
  * everything a component recorded.  Modeled loosely after gem5's Stats
  * package but deliberately tiny.
  */
@@ -115,51 +115,6 @@ class HighWater
     std::int64_t max_ = 0;
 };
 
-/** Fixed-width linear histogram with underflow and overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width = 1.0, std::size_t buckets = 64)
-        : width_(bucket_width), counts_(buckets + 1, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        sampler_.sample(v);
-        // Negative samples land in a dedicated underflow bucket
-        // instead of being silently clamped into bucket 0: a
-        // latency-delta histogram must surface sign errors, not
-        // mask them.
-        if (v < 0) {
-            ++underflow_;
-            return;
-        }
-        std::size_t idx = static_cast<std::size_t>(v / width_);
-        if (idx >= counts_.size() - 1)
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-
-    const Sampler &summary() const { return sampler_; }
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-    /** Samples below zero (would-be-clamped sign errors). */
-    std::uint64_t underflow() const { return underflow_; }
-    double bucketWidth() const { return width_; }
-
-    /** Value below which the given fraction of samples fall. */
-    double percentile(double frac) const;
-
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    Sampler sampler_;
-};
-
 /**
  * Streaming quantile estimator (Jain & Chlamtac's P-squared
  * algorithm): tracks one quantile of an unbounded sample stream in
@@ -170,8 +125,8 @@ class Histogram
  * verbatim and interpolated at rank p*(n-1)); beyond that the
  * estimate converges to the true quantile with error that shrinks as
  * the sample count grows (empirically well under 1% of the sample
- * range for smooth distributions) -- and, unlike the fixed-width
- * Histogram, it is never clamped to a bucket edge, so tail quantiles
+ * range for smooth distributions) -- and, unlike a fixed-width
+ * histogram, it is never clamped to a bucket edge, so tail quantiles
  * (p99 at 256+ ports) keep their resolution.  Deterministic: the
  * estimate is a pure function of the sample sequence.
  *

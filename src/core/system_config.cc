@@ -3,7 +3,6 @@
 #include <cmath>
 #include <iomanip>
 
-#include "buffer/hybrid_buffer.hh"
 #include "common/logging.hh"
 #include "model/issue_queue.hh"
 #include "model/sram_designs.hh"
@@ -74,7 +73,7 @@ makeBufferConfig(const SystemConfig &sys, BufferKind kind)
     return cfg;
 }
 
-std::unique_ptr<buffer::PacketBuffer>
+std::unique_ptr<buffer::HybridBuffer>
 makeBuffer(const SystemConfig &sys, BufferKind kind)
 {
     return std::make_unique<buffer::HybridBuffer>(

@@ -15,7 +15,7 @@
 #include <ostream>
 #include <string>
 
-#include "buffer/packet_buffer.hh"
+#include "buffer/hybrid_buffer.hh"
 #include "common/types.hh"
 #include "model/dimensioning.hh"
 
@@ -80,7 +80,7 @@ buffer::BufferConfig makeBufferConfig(const SystemConfig &sys,
                                       BufferKind kind);
 
 /** Build a ready-to-run buffer. */
-std::unique_ptr<buffer::PacketBuffer>
+std::unique_ptr<buffer::HybridBuffer>
 makeBuffer(const SystemConfig &sys, BufferKind kind);
 
 /** Human-readable dimensioning report (sizes, delays, feasibility). */

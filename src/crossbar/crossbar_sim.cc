@@ -185,7 +185,6 @@ planCrossbar(const CrossbarConfig &cfg)
         s.load = rho;
         s.slots = cfg.slots;
         s.seed = sweep::deriveSeed(cfg.masterSeed, i);
-        s.eventEngine = cfg.eventEngine;
         // A work-conserving matching drains a backlogged VOQ in
         // consecutive same-queue grants -- a service concentration
         // the Eq. (1) RR sizing (randomized requests) does not

@@ -100,15 +100,6 @@ struct CrossbarConfig
     /** Incast: mean destination-burst length toward the victim. */
     std::uint64_t incastBurst = 64;
 
-    /**
-     * Run every input on the event-calendar engine instead of the
-     * per-slot reference loop.  Pure execution strategy: plumbed
-     * into each input's sim::Scenario::eventEngine and, like it,
-     * excluded from name()/describe() so artifacts and checkpoint
-     * fingerprints stay byte-identical across engines.
-     */
-    bool eventEngine = false;
-
     /** Hard cap on any input's offered load. */
     static constexpr double kMaxInputLoad = 0.9;
     /**

@@ -10,16 +10,17 @@
  * first queue whose scratch counter drops below zero is *critical*
  * and is the one replenished.
  *
- * Besides the O(depth) scan the class maintains an *event-calendar*
- * view of the same decision (calendarDecide): a per-queue FIFO of
- * entry stamps of the requests currently in the lookahead plus the
- * set of queues that are critical somewhere in the register.  Both
- * views compute identical selections in identical order (the
- * differential oracle in tests/test_event_core.cc holds them to
- * that); the calendar is O(criticals * log criticals) per decision
- * instead of O(depth), which is what lets the event engine skip the
- * register walk entirely.  All calendar state is derived -- restore
- * rebuilds it from the architectural lookahead contents.
+ * scan()/select() are that definition, kept as the reference.  The
+ * buffer decides through an *event-calendar* view of the same
+ * decision (calendarDecide): a per-queue FIFO of entry stamps of the
+ * requests currently in the lookahead plus the set of queues that
+ * are critical somewhere in the register.  Both views compute
+ * identical selections in identical order (the seeded fuzz test in
+ * tests/test_event_core.cc holds them to that); the calendar is
+ * O(criticals * log criticals) per decision instead of O(depth), so
+ * the buffer never walks the register.  All calendar state is
+ * derived -- restore rebuilds it from the architectural lookahead
+ * contents.
  */
 
 #ifndef PKTBUF_MMA_ECQF_HH

@@ -48,7 +48,7 @@ class TailMma
     }
 
     /**
-     * Event-engine fast path: delegate the threshold scan to a
+     * The buffer's pick: delegate the threshold scan to a
      * next-eligible oracle (the t-SRAM's eligibility bitmap) instead
      * of probing every queue.  `next_eligible(from)` must return the
      * first queue at or cyclically after `from` meeting the same

@@ -80,7 +80,6 @@ Scenario::bufferConfig() const
     cfg.dramCells = dramCells;
     cfg.rrSlack = rrSlack;
     cfg.timing = timing;
-    cfg.eventCore = eventEngine;
     if (variant == BufferVariant::CfdsRenaming) {
         cfg.logicalQueues = queues;
         cfg.renaming = true;

@@ -112,17 +112,6 @@ struct Scenario
      *  unchanged. */
     bool unbiasedRequests = false;
     /**
-     * Execution engine (buffer::BufferConfig::eventCore): true runs
-     * the event-calendar core, false the reference per-slot loop.
-     * An execution strategy, not part of the experiment, so it is
-     * deliberately absent from name() and describe(): sweep records
-     * and checkpoint fingerprints must stay engine-agnostic -- the
-     * differential oracle (tests/test_event_core.cc) and the
-     * byte-identity of the committed sweep baselines depend on it.
-     */
-    bool eventEngine = false;
-
-    /**
      * Unique, gtest-name-safe identifier of the leg
      * (e.g. "cfds_bursty_q8_B8_b2").
      * @return the identifier; stable across runs and platforms.

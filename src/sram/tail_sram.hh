@@ -36,7 +36,7 @@ class TailSram
     /**
      * Arm the eligibility tracker: a queue is *eligible* while its
      * unclaimed cell count is at least `gran` (the t-MMA's write
-     * threshold).  The bitmap turns the event engine's tail-MMA
+     * threshold).  The bitmap turns the buffer's tail-MMA
      * round-robin and quiescence checks into O(1)/O(words) bit
      * scans.  0 (the default) disarms the tracker.
      */

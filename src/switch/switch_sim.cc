@@ -156,7 +156,6 @@ planPorts(const SwitchConfig &cfg)
             s.timing = cfg.timing;
         s.slots = cfg.slots;
         s.seed = sweep::deriveSeed(cfg.masterSeed, p);
-        s.eventEngine = cfg.eventEngine;
 
         double L = cfg.load;
         switch (cfg.pattern) {
@@ -276,8 +275,8 @@ aggregateStat(const std::vector<double> &per_port)
     // Percentiles via the joint streaming P^2 estimator: exact
     // (linear interpolation at rank p*(n-1)) for up to seven ports,
     // marker approximation beyond -- no bucket width to misjudge and
-    // no bucket-upper-bound bias, unlike the fixed-width Histogram
-    // this replaced.  One shared sorted marker array serves both
+    // no bucket-upper-bound bias, unlike a fixed-width histogram.
+    // One shared sorted marker array serves both
     // targets, so p99 >= p50 holds by construction (two independent
     // P2Quantile instances crossed on adversarial inputs and needed
     // a flooring band-aid here).

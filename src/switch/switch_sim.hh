@@ -90,15 +90,6 @@ struct SwitchConfig
      */
     dram::TimingConfig timing;
 
-    /**
-     * Run every port on the event-calendar engine instead of the
-     * per-slot reference loop.  Pure execution strategy: plumbed
-     * into each port's sim::Scenario::eventEngine and, like it,
-     * excluded from name()/describe() so artifacts and checkpoint
-     * fingerprints stay byte-identical across engines.
-     */
-    bool eventEngine = false;
-
     /** Hard cap on any resolved per-port load. */
     static constexpr double kMaxPortLoad = 0.9;
 

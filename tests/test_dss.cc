@@ -43,6 +43,20 @@ makeWrite(QueueId q, std::uint64_t ord, unsigned bank, Slot issued = 0)
     return r;
 }
 
+/** DSA blocking probe: an entry whose bank `locked` accepts stalls
+ *  as BankBusy; every other entry is ready. */
+template <typename LockedFn>
+auto
+bankBusyIf(LockedFn locked)
+{
+    return [locked](const DramRequest &r)
+               -> std::optional<dram::StallCause> {
+        if (locked(r.bank))
+            return dram::StallCause::BankBusy;
+        return std::nullopt;
+    };
+}
+
 } // namespace
 
 TEST(RequestRegister, OldestReadyFirst)
@@ -51,7 +65,8 @@ TEST(RequestRegister, OldestReadyFirst)
     rr.push(makeRead(0, 0, 5));
     rr.push(makeRead(1, 0, 6));
     rr.push(makeRead(2, 0, 7));
-    auto sel = rr.selectOldestReady([](unsigned) { return false; });
+    auto sel = rr.selectOldestReady(
+        bankBusyIf([](unsigned) { return false; }));
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 0u);
     EXPECT_EQ(rr.size(), 2u);
@@ -63,12 +78,13 @@ TEST(RequestRegister, SkipsLockedBanksAndCountsSkips)
     rr.push(makeRead(0, 0, 5));
     rr.push(makeRead(1, 0, 6));
     auto sel = rr.selectOldestReady(
-        [](unsigned bank) { return bank == 5; });
+        bankBusyIf([](unsigned bank) { return bank == 5; }));
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 1u);
     EXPECT_EQ(rr.maxSkips(), 1);
     // The skipped entry keeps its age: next call picks it.
-    sel = rr.selectOldestReady([](unsigned) { return false; });
+    sel = rr.selectOldestReady(
+        bankBusyIf([](unsigned) { return false; }));
     ASSERT_TRUE(sel);
     EXPECT_EQ(sel->physQueue, 0u);
 }
@@ -78,7 +94,8 @@ TEST(RequestRegister, AllLockedReturnsNothing)
     RequestRegister rr(4);
     rr.push(makeRead(0, 0, 1));
     rr.push(makeRead(1, 0, 2));
-    EXPECT_FALSE(rr.selectOldestReady([](unsigned) { return true; }));
+    EXPECT_FALSE(rr.selectOldestReady(
+        bankBusyIf([](unsigned) { return true; })));
     EXPECT_EQ(rr.size(), 2u);
 }
 
@@ -106,7 +123,7 @@ TEST(RequestRegister, PerQueueOrderEnforcedForWrites)
     rr.push(makeWrite(3, 1, 2)); // same queue, free bank
     rr.push(makeWrite(4, 0, 3)); // other queue, free bank
     auto sel = rr.selectOldestReady(
-        [](unsigned bank) { return bank == 1; });
+        bankBusyIf([](unsigned bank) { return bank == 1; }));
     // Queue 3's younger write must NOT overtake its older one, but
     // queue 4 may proceed.
     ASSERT_TRUE(sel);

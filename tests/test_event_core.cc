@@ -1,29 +1,45 @@
 /**
  * @file
- * Differential oracle for the event-calendar execution engine: the
- * event core (BufferConfig::eventCore) must be *bit-identical* to
- * the reference per-slot loop -- same grants, drops, golden-checker
- * totals, serialized record bytes and checkpoint bytes -- on every
- * scenario-matrix leg, every timing leg, and a seeded fuzz sweep of
- * random legs crossed with random checkpoint cadences.  Also hosts
- * the stats-correctness regression tests that rode along with the
- * engine PR (zero-grant delay statistics, sweep wall-clock).
+ * Oracle for the event-calendar execution core:
+ *
+ *  - Pinned reference outputs: the serialized record bytes of every
+ *    scenario-matrix and timing leg, and the checkpoint bytes of five
+ *    representative legs at 25/50/75% of their run, must match the
+ *    digests the per-slot reference engine produced
+ *    (tests/data/reference_digests.txt).
+ *  - Seeded fuzz of the two decisions the core computes differently
+ *    from the paper's definitions: EcqfMma::calendarDecide must visit
+ *    exactly the queues EcqfMma::scan visits, in the same order, and
+ *    TailMma::selectVia over the t-SRAM eligibility bitmap must pick
+ *    what TailMma::select picks.
+ *
+ * Also hosts the stats-correctness regression tests that rode along
+ * with the engine (zero-grant delay statistics, sweep wall-clock).
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "buffer/hybrid_buffer.hh"
 #include "common/random.hh"
+#include "common/serialize.hh"
+#include "common/shift_register.hh"
 #include "fuzz_env.hh"
+#include "mma/ecqf.hh"
+#include "mma/tail_mma.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
 #include "soak/checkpoint.hh"
+#include "sram/tail_sram.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
@@ -32,6 +48,8 @@ using namespace pktbuf;
 
 namespace
 {
+
+// ------------------------------------------ pinned reference digests
 
 /** Serialized record bytes of a leg's outcome -- the exact fields
  *  the sweep artifacts are built from. */
@@ -45,90 +63,80 @@ recordBytes(const sim::Scenario &s, const sim::ScenarioOutcome &o)
     return out;
 }
 
-/** The same leg with the event engine switched on. */
-sim::Scenario
-eventTwin(sim::Scenario s)
+std::string
+hexDigest(const std::string &bytes)
 {
-    s.eventEngine = true;
-    return s;
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, ser::fnv1a(bytes));
+    return buf;
 }
 
-/**
- * Assert two outcomes are bit-identical: every counter, every
- * double (exact -- both engines must perform the same arithmetic in
- * the same order), and the serialized record bytes.
- */
+/** "<kind> <leg>" -> digest, parsed from the pinned data file. */
+const std::map<std::string, std::string> &
+pinnedDigests()
+{
+    static const auto digests = [] {
+        std::map<std::string, std::string> m;
+        std::ifstream in(PKTBUF_TEST_DATA_DIR "/reference_digests.txt");
+        EXPECT_TRUE(in) << "missing reference_digests.txt";
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::istringstream fields(line);
+            std::string kind, leg, digest;
+            fields >> kind >> leg >> digest;
+            m[kind + " " + leg] = digest;
+        }
+        return m;
+    }();
+    return digests;
+}
+
+/** Assert `bytes` hashes to the pinned digest of `key`; the failure
+ *  message carries the line to pin after a deliberate model change. */
 void
-expectIdenticalOutcomes(const sim::Scenario &ref_leg,
-                        const sim::ScenarioOutcome &ref,
-                        const sim::Scenario &evt_leg,
-                        const sim::ScenarioOutcome &evt)
+expectPinned(const std::string &key, const std::string &bytes)
 {
-    EXPECT_EQ(ref.passed, evt.passed)
-        << "ref: " << ref.failure << " evt: " << evt.failure;
-    EXPECT_EQ(ref.run.slots, evt.run.slots);
-    EXPECT_EQ(ref.run.arrivals, evt.run.arrivals);
-    EXPECT_EQ(ref.run.grants, evt.run.grants);
-    EXPECT_EQ(ref.run.drops, evt.run.drops);
-    EXPECT_EQ(ref.run.meanDelaySlots, evt.run.meanDelaySlots);
-    EXPECT_EQ(ref.run.maxDelaySlots, evt.run.maxDelaySlots);
-    EXPECT_EQ(ref.drained, evt.drained);
-    EXPECT_EQ(ref.verified, evt.verified);
-    EXPECT_EQ(ref.undelivered, evt.undelivered);
-    EXPECT_EQ(recordBytes(ref_leg, ref), recordBytes(evt_leg, evt));
+    const auto &pinned = pinnedDigests();
+    const auto it = pinned.find(key);
+    const std::string got = hexDigest(bytes);
+    ASSERT_NE(it, pinned.end()) << "no pinned digest: " << key << " "
+                                << got;
+    EXPECT_EQ(it->second, got) << "pinned line: " << key << " " << got;
 }
 
-/** Run one leg under both engines and compare everything. */
+std::size_t
+pinnedCount(const std::string &kind)
+{
+    std::size_t n = 0;
+    for (const auto &[key, digest] : pinnedDigests())
+        n += key.compare(0, kind.size() + 1, kind + " ") == 0;
+    return n;
+}
+
 void
-differentialLeg(const sim::Scenario &s)
+expectMatrixPinned(const std::string &kind,
+                   const std::vector<sim::Scenario> &legs)
 {
-    SCOPED_TRACE(s.describe());
-    const auto ref = sim::runScenario(s);
-    const sim::Scenario evt_leg = eventTwin(s);
-    const auto evt = sim::runScenario(evt_leg);
-    expectIdenticalOutcomes(s, ref, evt_leg, evt);
+    EXPECT_EQ(legs.size(), pinnedCount(kind));
+    for (const auto &s : legs) {
+        SCOPED_TRACE(s.describe());
+        const auto out = sim::runScenario(s);
+        EXPECT_TRUE(out.passed) << out.failure;
+        expectPinned(kind + " " + s.name(), recordBytes(s, out));
+    }
 }
 
-// ------------------------------------------------- full-matrix oracle
-
-TEST(EventCoreOracle, DefaultMatrixBitIdentical)
+TEST(PinnedReference, DefaultMatrixRecordBytes)
 {
-    for (const auto &s : sim::defaultMatrix())
-        differentialLeg(s);
+    expectMatrixPinned("record", sim::defaultMatrix());
 }
 
-TEST(EventCoreOracle, TimingMatrixBitIdentical)
+TEST(PinnedReference, TimingMatrixRecordBytes)
 {
-    for (const auto &s : sim::timingMatrix())
-        differentialLeg(s);
+    expectMatrixPinned("timing", sim::timingMatrix());
 }
-
-// --------------------------------------------- emitted-artifact bytes
-
-TEST(EventCoreOracle, SweepArtifactsByteIdentical)
-{
-    // The sweep JSON/CSV the BENCH baselines are built from must not
-    // change with the engine: run the smoke matrix through the sweep
-    // machinery once per engine and compare the emitted bytes.
-    const auto emit = [](bool event_engine) {
-        auto legs = sim::smokeMatrix();
-        for (auto &s : legs)
-            s.eventEngine = event_engine;
-        const auto tasks =
-            sweep::makeScenarioTasks(legs, /*deriveSeeds=*/false);
-        sweep::SweepOptions opt;
-        opt.jobs = 1;
-        const auto rep = sweep::runSweep(tasks, opt);
-        EXPECT_EQ(rep.failed, 0u);
-        sweep::EmitMeta meta;
-        meta.tool = "event_core_oracle";
-        return sweep::toJson(rep, tasks, meta) + "\n" +
-               sweep::toCsv(rep, tasks);
-    };
-    EXPECT_EQ(emit(false), emit(true));
-}
-
-// --------------------------------------------------- checkpoint bytes
 
 /** Representative legs across the architecture space. */
 std::vector<sim::Scenario>
@@ -152,89 +160,186 @@ checkpointLegs()
     return picked;
 }
 
-TEST(EventCoreOracle, CheckpointBytesEngineAgnostic)
+TEST(PinnedReference, CheckpointBytes)
 {
-    // Both engines paused at the same slot must serialize the *same
-    // bytes*: every derived structure the event core adds is either
-    // unserialized or rebuilt, and the shift registers normalize
-    // their rotation.  This is what makes checkpoints portable
-    // across engines.
+    // The idle-slot skip freezes the shift registers' cursors and the
+    // calendar is derived state, so only the registers' rotation-
+    // normalized save keeps these bytes equal to the reference's.
+    EXPECT_EQ(pinnedCount("checkpoint"), 15u);
     for (const auto &s : checkpointLegs()) {
         SCOPED_TRACE(s.describe());
-        soak::ScenarioRun ref(s);
-        soak::ScenarioRun evt(eventTwin(s));
+        soak::ScenarioRun run(s);
         for (const unsigned pct : {25u, 50u, 75u}) {
-            SCOPED_TRACE("at " + std::to_string(pct) + "%");
-            ref.runTo(s.slots * pct / 100);
-            evt.runTo(s.slots * pct / 100);
-            EXPECT_EQ(ref.checkpoint(), evt.checkpoint());
+            run.runTo(s.slots * pct / 100);
+            expectPinned("checkpoint " + s.name() + "@" +
+                             std::to_string(pct),
+                         run.checkpoint());
         }
-    }
-}
-
-TEST(EventCoreOracle, CrossEngineRestore)
-{
-    // A checkpoint written by one engine restores into the other and
-    // finishes bit-identically to an unbroken reference run.
-    for (const auto &s : checkpointLegs()) {
-        SCOPED_TRACE(s.describe());
-        const auto plain = sim::runScenario(s);
-        const auto expect = recordBytes(s, plain);
-
-        soak::ScenarioRun ref(s);
-        ref.runTo(s.slots / 2);
-        const auto ref_bytes = ref.checkpoint();
-        const sim::Scenario evt_leg = eventTwin(s);
-        soak::ScenarioRun evt(evt_leg);
-        evt.restore(ref_bytes);
-        const auto via_event = evt.finish();
-        EXPECT_EQ(via_event.passed, plain.passed)
-            << via_event.failure;
-        EXPECT_EQ(recordBytes(evt_leg, via_event), expect);
-
-        soak::ScenarioRun evt2(evt_leg);
-        evt2.runTo(s.slots / 2);
-        soak::ScenarioRun ref2(s);
-        ref2.restore(evt2.checkpoint());
-        const auto via_ref = ref2.finish();
-        EXPECT_EQ(via_ref.passed, plain.passed) << via_ref.failure;
-        EXPECT_EQ(recordBytes(s, via_ref), expect);
     }
 }
 
 // --------------------------------------------------------- fuzz smoke
 
 /**
- * Seeded differential fuzz: random matrix legs (fresh seeds, random
- * slot budgets) run under the event engine through the
- * checkpoint-every-M soak driver and compared to the unbroken
- * reference run.  PKTBUF_FUZZ_ITERS scales the iteration count (the
- * nightly workflow runs this at 100x); failures print the leg
- * description, seed and cadence for replay.
+ * Seeded fuzz of the head-MMA decision: two EcqfMma instances see
+ * the same random stream of lookahead entries/exits and out-of-band
+ * replenishes; at random decision points one decides by the
+ * reference scan() over the register, the other by calendarDecide().
+ * Each visit returns a pre-drawn credit (a full DRAM block, a short
+ * bypass, or 0 = abort the decision), so both must visit the same
+ * queues in the same order and end with equal occupancies.  Every so
+ * often the calendar side is checkpointed and rebuilt from the
+ * register the way HybridBuffer::load does.  PKTBUF_FUZZ_ITERS
+ * scales the case count; failures print the case seed.
  */
-TEST(EventCoreFuzzSmoke, RandomLegsMatchReference)
+TEST(EventCoreFuzzSmoke, CalendarVisitsScanOrder)
 {
     const std::uint64_t master =
         testutil::envU64("PKTBUF_FUZZ_SEED", 1);
     const std::uint64_t iters =
         testutil::envU64("PKTBUF_FUZZ_ITERS", 3);
-    const auto matrix = sim::defaultMatrix();
-    Rng rng(master);
-    for (std::uint64_t it = 0; it < iters; ++it) {
-        sim::Scenario s = matrix[rng.below(matrix.size())];
-        s.seed = rng.next();  // fresh seed: a genuinely new leg
-        s.slots = 2000 + rng.below(4000);
-        const std::uint64_t every = 1 + s.slots / (2 + rng.below(6));
-        std::ostringstream desc;
-        desc << "fuzz iter " << it << ": " << s.describe()
-             << " every=" << every << " (PKTBUF_FUZZ_SEED=" << master
-             << ")";
-        SCOPED_TRACE(desc.str());
-        const auto ref = sim::runScenario(s);
-        const sim::Scenario evt_leg = eventTwin(s);
-        const auto evt =
-            soak::runScenarioCheckpointed(evt_leg, every);
-        expectIdenticalOutcomes(s, ref, evt_leg, evt);
+    Rng cases(master);
+    for (std::uint64_t it = 0; it < 20 * iters; ++it) {
+        const std::uint64_t seed = cases.next();
+        Rng rng(seed);
+        const unsigned queues = 1 + static_cast<unsigned>(rng.below(24));
+        const unsigned gran = 1 + static_cast<unsigned>(rng.below(8));
+        const std::size_t depth = 1 + rng.below(4 * queues * gran);
+        SCOPED_TRACE("case seed " + std::to_string(seed) + " Q=" +
+                     std::to_string(queues) + " b=" +
+                     std::to_string(gran) + " depth=" +
+                     std::to_string(depth) + " (PKTBUF_FUZZ_SEED=" +
+                     std::to_string(master) + ")");
+        mma::EcqfMma ref(queues);
+        mma::EcqfMma cal(queues);
+        ShiftRegister<QueueId> look(depth, kInvalidQueue);
+        for (unsigned step = 0; step < 400; ++step) {
+            const QueueId in = rng.below(4) == 0
+                                   ? kInvalidQueue
+                                   : static_cast<QueueId>(
+                                         rng.below(queues));
+            const QueueId out = look.shift(in);
+            if (in != kInvalidQueue)
+                cal.onRequestEntering(in);
+            if (out != kInvalidQueue) {
+                ref.onRequestLeaving(out);
+                cal.onRequestLeaving(out);
+            }
+            if (rng.below(8) == 0) {
+                const auto p = static_cast<QueueId>(rng.below(queues));
+                const auto n = 1 + static_cast<unsigned>(rng.below(gran));
+                ref.onReplenishIssued(p, n);
+                cal.onReplenishIssued(p, n);
+            }
+            if (rng.below(3) != 0)
+                continue;
+            std::vector<unsigned> credits(depth + 1);
+            for (auto &c : credits) {
+                const auto roll = rng.below(16);
+                c = roll == 0 ? 0
+                    : roll < 8 ? gran
+                               : 1 + static_cast<unsigned>(
+                                         rng.below(gran));
+            }
+            const auto visitor = [&credits](mma::EcqfMma &mma,
+                                            std::vector<QueueId> &seen) {
+                return [&credits, &mma, &seen](QueueId p) -> unsigned {
+                    const unsigned c = credits[seen.size() %
+                                               credits.size()];
+                    seen.push_back(p);
+                    if (c)
+                        mma.onReplenishIssued(p, c);
+                    return c;
+                };
+            };
+            std::vector<QueueId> by_scan, by_calendar;
+            ref.scan(look, [](QueueId q) { return q; },
+                     visitor(ref, by_scan));
+            cal.calendarDecide(visitor(cal, by_calendar));
+            ASSERT_EQ(by_scan, by_calendar) << "step " << step;
+            for (QueueId p = 0; p < queues; ++p)
+                ASSERT_EQ(ref.occupancy(p), cal.occupancy(p));
+            if (rng.below(16) == 0) {
+                ser::Writer w;
+                cal.save(w);
+                ser::Reader r(w.bytes());
+                cal.load(r);
+                look.forEachFromHead([&cal](QueueId q) {
+                    if (q != kInvalidQueue)
+                        cal.onRequestEntering(q);
+                });
+            }
+        }
+    }
+}
+
+/**
+ * Seeded fuzz of the tail-MMA pick: two TailMma cursors, one picking
+ * by the reference select() over unclaimed counts, the other by
+ * selectVia() over the t-SRAM eligibility bitmap, while random
+ * arrivals, claims, write launches, squashes and bypasses move the
+ * queues across the threshold.  Queue counts straddle the bitmap's
+ * 64-bit words.
+ */
+TEST(EventCoreFuzzSmoke, TailSelectViaMatchesSelect)
+{
+    const std::uint64_t master =
+        testutil::envU64("PKTBUF_FUZZ_SEED", 1);
+    const std::uint64_t iters =
+        testutil::envU64("PKTBUF_FUZZ_ITERS", 3);
+    Rng cases(master);
+    for (std::uint64_t it = 0; it < 20 * iters; ++it) {
+        const std::uint64_t seed = cases.next();
+        Rng rng(seed);
+        const unsigned queues = 1 + static_cast<unsigned>(rng.below(200));
+        const unsigned gran = 1 + static_cast<unsigned>(rng.below(8));
+        SCOPED_TRACE("case seed " + std::to_string(seed) + " Q=" +
+                     std::to_string(queues) + " b=" +
+                     std::to_string(gran) + " (PKTBUF_FUZZ_SEED=" +
+                     std::to_string(master) + ")");
+        sram::TailSram tail(queues, /*capacity_cells=*/0);
+        tail.setThreshold(gran);
+        mma::TailMma ref(queues);
+        mma::TailMma via(queues);
+        for (unsigned step = 0; step < 2000; ++step) {
+            const auto p = static_cast<QueueId>(rng.below(queues));
+            switch (rng.below(6)) {
+              case 0:
+              case 1:
+              case 2: {
+                Cell c;
+                c.queue = p;
+                tail.push(p, c);
+                break;
+              }
+              case 3:
+                if (tail.cellsOf(p) - tail.unclaimed(p) >= gran)
+                    tail.extractClaimed(p, gran);
+                break;
+              case 4:
+                if (tail.cellsOf(p) - tail.unclaimed(p) >= gran)
+                    tail.unclaim(p, gran);
+                break;
+              default:
+                if (tail.cellsOf(p) == tail.unclaimed(p))
+                    tail.extractBypass(
+                        p, 1 + static_cast<unsigned>(rng.below(gran)));
+                break;
+            }
+            // Pick less often than cells arrive, so several queues
+            // can be eligible at once and the cursor order matters.
+            if (rng.below(4) != 0)
+                continue;
+            const QueueId want = ref.select(
+                gran, [&tail](QueueId q) { return tail.unclaimed(q); },
+                [](QueueId) { return true; });
+            const QueueId got = via.selectVia([&tail](QueueId from) {
+                return tail.nextEligible(from);
+            });
+            ASSERT_EQ(want, got) << "step " << step;
+            if (got != kInvalidQueue)
+                tail.claim(got, gran);
+        }
     }
 }
 

@@ -321,8 +321,8 @@ TEST(AggregateStat, MatchesExactPercentiles)
     EXPECT_DOUBLE_EQ(a.max, 4.0);
 
     // Larger port counts: close to exact, inside [min, max], and
-    // monotone (p99 >= p50) -- the properties the old fixed-width
-    // Histogram could not guarantee.
+    // monotone (p99 >= p50) -- the properties a fixed-width
+    // histogram cannot guarantee.
     std::vector<double> many;
     Rng rng(11);
     for (int i = 0; i < 64; ++i)

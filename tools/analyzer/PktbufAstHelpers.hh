@@ -1,6 +1,6 @@
 //===--- PktbufAstHelpers.hh - shared helpers for the pktbuf checks ------===//
 //
-// Small utilities shared by the five pktbuf clang-tidy checks:
+// Small utilities shared by the four pktbuf clang-tidy checks:
 // annotation-comment lookup (the linters' "// ser: config" /
 // "// seed: fixed" grammar lives in source text, not the AST) and the
 // StatRegistry key grammar.

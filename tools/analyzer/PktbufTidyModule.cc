@@ -17,7 +17,6 @@
 #include "clang-tidy/ClangTidyModule.h"
 #include "clang-tidy/ClangTidyModuleRegistry.h"
 
-#include "DescribeEngineAgnosticCheck.hh"
 #include "EnumSwitchCheck.hh"
 #include "SeedDisciplineCheck.hh"
 #include "SerializationCompleteCheck.hh"
@@ -39,8 +38,6 @@ class PktbufModule : public ClangTidyModule
         CheckFactories.registerCheck<StatKeyCheck>("pktbuf-stat-key");
         CheckFactories.registerCheck<EnumSwitchCheck>(
             "pktbuf-enum-switch");
-        CheckFactories.registerCheck<DescribeEngineAgnosticCheck>(
-            "pktbuf-describe-engine-agnostic");
     }
 };
 
