@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "sweep/emit.hh"
 #include "sweep/sweep.hh"
 
@@ -59,8 +60,7 @@ parseArgs(int argc, char **argv, const char *extra_usage = nullptr)
         if (!std::strcmp(argv[i], "--smoke")) {
             opt.smoke = true;
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            opt.jobs = cli::parseJobs(argv[++i]);
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "crossbar/crossbar_sim.hh"
 #include "sweep/record.hh"
@@ -33,6 +34,9 @@ using namespace pktbuf::xbar;
 
 namespace
 {
+
+/** Largest accepted radix: N^2 VOQ buffers is the memory limit. */
+constexpr unsigned kMaxPorts = 256;
 
 void
 usage(const char *prog)
@@ -45,13 +49,14 @@ usage(const char *prog)
         "          [--hot-outputs K] [--hot-fraction F] [--burst N]\n"
         "          [--victim P] [--smoke]\n"
         "          [--list] [--json PATH] [--csv PATH]\n"
-        "  --ports      crossbar radix (default 4)\n"
+        "  --ports      crossbar radix, 1..256 (default 4)\n"
         "  --pattern    uniform | hotspot | incast | permutation\n"
         "  --scheduler  islip | qps | random\n"
         "  --iters      iSLIP rounds per slot (default 4)\n"
         "  --window     QPS hold window in slots (default 8)\n"
         "  --variant    rads | cfds | renaming\n"
-        "  --load       mean offered load per input (default 0.45)\n"
+        "  --load       mean offered load per input, at most 0.9\n"
+        "               (default 0.45)\n"
         "  --slots      driven slots (default 20000)\n"
         "  --seed       master seed; input i uses splitmix(seed, i)\n"
         "  --hot-outputs / --hot-fraction   hotspot shape\n"
@@ -98,8 +103,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--ports")) {
-            cfg.ports = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.ports = cli::parseUint("--ports", next(), 1, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--pattern")) {
             if (!sw::parseTrafficPattern(next(), cfg.pattern)) {
                 usage(argv[0]);
@@ -111,33 +115,37 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--iters")) {
-            cfg.islipIterations = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.islipIterations =
+                cli::parseUint("--iters", next(), 1, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.qpsWindow = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.qpsWindow = cli::parseUint("--window", next(), 1);
         } else if (!std::strcmp(argv[i], "--variant")) {
             if (!parseVariant(next(), cfg)) {
                 usage(argv[0]);
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--load")) {
-            cfg.load = std::strtod(next(), nullptr);
+            cfg.load = cli::parseDouble("--load", next(), 0.0,
+                                        CrossbarConfig::kMaxInputLoad);
         } else if (!std::strcmp(argv[i], "--slots")) {
-            cfg.slots = std::strtoull(next(), nullptr, 0);
+            cfg.slots = cli::parseUnsigned("--slots", next(), 1,
+                                           UINT64_MAX);
             have_slots = true;
         } else if (!std::strcmp(argv[i], "--seed")) {
-            cfg.masterSeed = std::strtoull(next(), nullptr, 0);
+            cfg.masterSeed = cli::parseUnsigned("--seed", next(), 0,
+                                                UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--hot-outputs")) {
-            cfg.hotOutputs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.hotOutputs =
+                cli::parseUint("--hot-outputs", next(), 0, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--hot-fraction")) {
-            cfg.hotFraction = std::strtod(next(), nullptr);
+            cfg.hotFraction =
+                cli::parseDouble("--hot-fraction", next(), 0.0, 1.0);
         } else if (!std::strcmp(argv[i], "--victim")) {
-            cfg.incastVictim = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.incastVictim =
+                cli::parseUint("--victim", next(), 0, kMaxPorts - 1);
         } else if (!std::strcmp(argv[i], "--burst")) {
-            cfg.incastBurst = std::strtoull(next(), nullptr, 0);
+            cfg.incastBurst = cli::parseUnsigned("--burst", next(), 1,
+                                                 UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
         } else if (!std::strcmp(argv[i], "--list")) {

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/logging.hh"
 #include "core/system_config.hh"
 #include "model/sram_designs.hh"
 #include "sweep/emit.hh"
@@ -160,8 +162,7 @@ main(int argc, char **argv)
             if (j == i)
                 continue;
             if (!std::strcmp(argv[j], "--jobs") && j + 1 < argc) {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(argv[++j], nullptr, 0));
+                jobs = cli::parseJobs(argv[++j]);
             } else if (!std::strcmp(argv[j], "--json") &&
                        j + 1 < argc) {
                 json_path = argv[++j];
@@ -196,20 +197,27 @@ main(int argc, char **argv)
         }
     }
     if (argc > 2)
-        sys.queues = static_cast<unsigned>(std::atoi(argv[2]));
+        sys.queues = cli::parseUint("queues", argv[2], 1, 1u << 20);
     if (argc > 3)
-        sys.gran = static_cast<unsigned>(std::atoi(argv[3]));
+        sys.gran = cli::parseUint("b", argv[3], 1, 4096);
     if (argc > 4)
-        sys.banks = static_cast<unsigned>(std::atoi(argv[4]));
+        sys.banks = cli::parseUint("M", argv[4], 1, 1u << 16);
 
     std::cout << "Design point: " << toString(sys.rate) << ", Q="
               << sys.queues << ", b=" << sys.gran << ", M="
               << sys.banks << ", t_RC=" << sys.dramRandomAccessNs
               << " ns (B=" << sys.granRads() << " slots)\n\n";
 
-    printDimensioningReport(std::cout, sys, BufferKind::Rads);
-    std::cout << "\n";
-    printDimensioningReport(std::cout, sys, BufferKind::Cfds);
+    // An impossible organization (b not dividing B, ...) is a user
+    // error: report it and exit cleanly.
+    try {
+        printDimensioningReport(std::cout, sys, BufferKind::Rads);
+        std::cout << "\n";
+        printDimensioningReport(std::cout, sys, BufferKind::Cfds);
+    } catch (const FatalError &e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        return 2;
+    }
 
     // How many queues could this CFDS organization support at most?
     const auto qmax = model::maxQueuesMeetingSlot(

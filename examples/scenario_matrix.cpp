@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "sim/scenario.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
@@ -104,18 +105,20 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--filter") && i + 1 < argc) {
             filter = argv[++i];
         } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            seed_override = std::strtoull(argv[++i], nullptr, 0);
+            seed_override =
+                cli::parseUnsigned("--seed", argv[++i], 0, UINT64_MAX);
             have_seed = true;
         } else if (!std::strcmp(argv[i], "--seed-exact") &&
                    i + 1 < argc) {
-            seed_exact = std::strtoull(argv[++i], nullptr, 0);
+            seed_exact = cli::parseUnsigned("--seed-exact", argv[++i], 0,
+                                            UINT64_MAX);
             have_seed_exact = true;
         } else if (!std::strcmp(argv[i], "--slots") && i + 1 < argc) {
-            slots_override = std::strtoull(argv[++i], nullptr, 0);
+            slots_override =
+                cli::parseUnsigned("--slots", argv[++i], 1, UINT64_MAX);
             have_slots = true;
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+            jobs = cli::parseJobs(argv[++i]);
         } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             json_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {

@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "sweep/record.hh"
 #include "switch/switch_sim.hh"
@@ -37,6 +38,8 @@ using namespace pktbuf::sw;
 
 namespace
 {
+
+constexpr unsigned kMaxPorts = 4096;
 
 void
 usage(const char *prog)
@@ -49,11 +52,12 @@ usage(const char *prog)
         "          [--victim P] [--smoke]\n"
         "          [--list] [--stats] [--jobs N] [--json PATH]\n"
         "          [--csv PATH]\n"
-        "  --ports     port count (default 4)\n"
+        "  --ports     port count, 1..4096 (default 4)\n"
         "  --pattern   uniform | hotspot | incast | permutation\n"
         "  --variant   rads | cfds | renaming | mixed (cycled)\n"
         "  --queues    VOQs per port (default 8)\n"
-        "  --load      mean offered load per port (default 0.45)\n"
+        "  --load      mean offered load per port, at most 0.9\n"
+        "              (default 0.45)\n"
         "  --slots     driven slots per port (default 20000)\n"
         "  --seed      master seed; port p uses splitmix(seed, p)\n"
         "  --hot-ports / --hot-fraction   hotspot shape\n"
@@ -107,8 +111,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(argv[i], "--ports")) {
-            cfg.ports = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.ports = cli::parseUint("--ports", next(), 1, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--pattern")) {
             if (!parseTrafficPattern(next(), cfg.pattern)) {
                 usage(argv[0]);
@@ -120,25 +123,29 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(argv[i], "--queues")) {
-            cfg.queues = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.queues = cli::parseUint("--queues", next(), 1, 65536);
         } else if (!std::strcmp(argv[i], "--load")) {
-            cfg.load = std::strtod(next(), nullptr);
+            cfg.load = cli::parseDouble("--load", next(), 0.0,
+                                        SwitchConfig::kMaxPortLoad);
         } else if (!std::strcmp(argv[i], "--slots")) {
-            cfg.slots = std::strtoull(next(), nullptr, 0);
+            cfg.slots = cli::parseUnsigned("--slots", next(), 1,
+                                           UINT64_MAX);
             have_slots = true;
         } else if (!std::strcmp(argv[i], "--seed")) {
-            cfg.masterSeed = std::strtoull(next(), nullptr, 0);
+            cfg.masterSeed = cli::parseUnsigned("--seed", next(), 0,
+                                                UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--hot-ports")) {
-            cfg.hotPorts = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.hotPorts =
+                cli::parseUint("--hot-ports", next(), 0, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--hot-fraction")) {
-            cfg.hotFraction = std::strtod(next(), nullptr);
+            cfg.hotFraction =
+                cli::parseDouble("--hot-fraction", next(), 0.0, 1.0);
         } else if (!std::strcmp(argv[i], "--victim")) {
-            cfg.incastVictim = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            cfg.incastVictim =
+                cli::parseUint("--victim", next(), 0, kMaxPorts - 1);
         } else if (!std::strcmp(argv[i], "--burst")) {
-            cfg.incastBurst = std::strtoull(next(), nullptr, 0);
+            cfg.incastBurst = cli::parseUnsigned("--burst", next(), 1,
+                                                 UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
         } else if (!std::strcmp(argv[i], "--list")) {
@@ -146,8 +153,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--stats")) {
             stats = true;
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
+            jobs = cli::parseJobs(next());
         } else if (!std::strcmp(argv[i], "--json")) {
             json_path = next();
         } else if (!std::strcmp(argv[i], "--csv")) {

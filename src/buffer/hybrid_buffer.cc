@@ -231,8 +231,9 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
              resolveBankSlots(cfg, *timing_)),
       dram_(phys_queues_, gran_, map_.groups(),
             resolveGroupCapacity(cfg, map_.groups())),
-      tail_(phys_queues_, resolveTailCells(cfg)),
-      head_(phys_queues_, resolveHeadCells(cfg, resolveLookahead(cfg))),
+      tail_(phys_queues_, resolveTailCells(cfg), gran_),
+      head_(phys_queues_, resolveHeadCells(cfg, resolveLookahead(cfg)),
+            gran_),
       hmma_(phys_queues_),
       mdqf_(phys_queues_),
       tmma_(phys_queues_),
@@ -244,7 +245,8 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
       replenish_seq_(phys_queues_, 0),
       pending_unlaunched_writes_(phys_queues_, 0),
       committed_(map_.groups(), 0),
-      group_capacity_(resolveGroupCapacity(cfg, map_.groups()))
+      group_capacity_(resolveGroupCapacity(cfg, map_.groups())),
+      read_slab_(gran_, banks_.banks())
 {
     cfg_.params.validate();
     fatal_if(cfg_.renaming && rads_,
@@ -261,6 +263,8 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
         latency_ = std::make_unique<ShiftRegister<PipeEntry>>(
             lat, PipeEntry{});
     }
+
+    completions_.reserve(banks_.banks());
 
     const auto rr_cap = resolveRrCapacity(cfg_);
     sched_ = std::make_unique<dss::DramScheduler>(rr_cap, orr_, true,
@@ -330,20 +334,26 @@ HybridBuffer::processCompletions(Slot now)
 {
     // Uniform timing completes in launch (FIFO) order; heterogeneous
     // bank groups can finish a fast bank's read behind a slow one,
-    // so the whole (small) deque is scanned.  The head SRAM consumes
-    // blocks in replenish-sequence order per queue either way.
-    for (auto it = completions_.begin(); it != completions_.end();) {
-        if (it->at > now) {
-            ++it;
+    // so the whole (small) list is scanned and compacted in order.
+    // The head SRAM consumes blocks in replenish-sequence order per
+    // queue either way.
+    std::size_t kept = 0;
+    for (const Completion &c : completions_) {
+        if (c.at > now) {
+            completions_[kept++] = c;
             continue;
         }
         if (trace)
-            *trace << "t" << now << " complete read q" << it->phys
-                   << " seq " << it->replenishSeq << "\n";
-        head_.insertBlock(it->phys, it->replenishSeq,
-                          std::move(it->cells));
-        it = completions_.erase(it);
+            *trace << "t" << now << " complete read q" << c.phys
+                   << " seq " << c.replenishSeq << "\n";
+        const auto cells = read_slab_.data(c.chunk);
+        std::ranges::copy(
+            cells,
+            head_.insertBlock(c.phys, c.replenishSeq, cells.size())
+                .begin());
+        read_slab_.release(c.chunk);
     }
+    completions_.resize(kept);
 }
 
 void
@@ -444,16 +454,15 @@ HybridBuffer::bypassReplenish(QueueId p)
     const auto n = std::min<std::uint64_t>(gran_, tail_.unclaimed(p));
     panic_if(n == 0, "MMA selected queue ", p,
              " with nothing to replenish");
-    auto cells = tail_.extractBypass(p, static_cast<unsigned>(n));
+    const std::uint64_t seq = replenish_seq_[p]++;
+    tail_.extractBypass(p, head_.insertBlock(p, seq, n));
     const unsigned g = groupOf(p);
     panic_if(committed_[g] < n,
              "bypass replenish: committed accounting underflow");
     committed_[g] -= n;
-    const std::uint64_t seq = replenish_seq_[p]++;
     if (trace)
         *trace << " bypass q" << p << " n " << n << " seq " << seq
                << "\n";
-    head_.insertBlock(p, seq, std::move(cells));
     hmma_.onReplenishIssued(p, static_cast<unsigned>(n));
     mdqf_.onReplenishIssued(p, static_cast<unsigned>(n));
     bypass_cells_.inc(n);
@@ -511,7 +520,9 @@ HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
 {
     banks_.startAccess(req.bank, now);
     const unsigned g = groupOf(req.physQueue);
-    auto cells = dram_.readBlock(req.physQueue, req.blockOrdinal, g);
+    const auto chunk = read_slab_.alloc();
+    dram_.readBlock(req.physQueue, req.blockOrdinal, g,
+                    read_slab_.data(chunk));
     panic_if(committed_[g] < gran_,
              "DRAM read launch: committed accounting underflow");
     committed_[g] -= gran_;
@@ -523,9 +534,8 @@ HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
         *trace << "t" << now << " launch read q" << req.physQueue
                << " ord " << req.blockOrdinal << " bank " << req.bank
                << " done@" << done << "\n";
-    completions_.push_back(Completion{done, req.physQueue,
-                                      req.replenishSeq,
-                                      std::move(cells)});
+    completions_.push_back(
+        Completion{done, req.physQueue, req.replenishSeq, chunk});
     dram_reads_.inc();
 }
 
@@ -533,13 +543,13 @@ void
 HybridBuffer::launchWrite(const dss::DramRequest &req, Slot now)
 {
     banks_.startAccess(req.bank, now);
-    auto cells = tail_.extractClaimed(req.physQueue, gran_);
     if (trace)
         *trace << "t" << now << " launch write q" << req.physQueue
                << " ord " << req.blockOrdinal << " bank " << req.bank
                << "\n";
-    dram_.writeBlock(req.physQueue, req.blockOrdinal, std::move(cells),
-                     groupOf(req.physQueue));
+    tail_.extractClaimed(
+        req.physQueue, dram_.writeBlock(req.physQueue, req.blockOrdinal,
+                                        gran_, groupOf(req.physQueue)));
     if (!rads_) {
         panic_if(pending_unlaunched_writes_[req.physQueue] == 0,
                  "write launch accounting bug");
@@ -703,8 +713,9 @@ HybridBuffer::save(ser::Writer &w) const
         w.u64(c.at);
         w.u32(c.phys);
         w.u64(c.replenishSeq);
-        w.u64(c.cells.size());
-        for (const auto &cell : c.cells)
+        const auto cells = read_slab_.data(c.chunk);
+        w.u64(cells.size());
+        for (const auto &cell : cells)
             cell.save(w);
     }
     stats_.save(w);
@@ -761,6 +772,7 @@ HybridBuffer::load(ser::Reader &r)
                "pending_unlaunched_writes");
     loadU64Vec(r, committed_, "committed");
     completions_.clear();
+    read_slab_.releaseAll();
     const auto nc = r.u64();
     for (std::uint64_t i = 0; i < nc; ++i) {
         Completion c;
@@ -768,10 +780,12 @@ HybridBuffer::load(ser::Reader &r)
         c.phys = r.u32();
         c.replenishSeq = r.u64();
         const auto ncell = r.u64();
-        c.cells.resize(ncell);
-        for (auto &cell : c.cells)
+        fatal_if(ncell != gran_, "checkpoint: in-flight read of ",
+                 ncell, " cells, granularity is ", gran_);
+        c.chunk = read_slab_.alloc();
+        for (auto &cell : read_slab_.data(c.chunk))
             cell.load(r);
-        completions_.push_back(std::move(c));
+        completions_.push_back(c);
     }
     stats_.load(r);
     arrivals_.load(r);

@@ -26,13 +26,13 @@
 #ifndef PKTBUF_BUFFER_HYBRID_BUFFER_HH
 #define PKTBUF_BUFFER_HYBRID_BUFFER_HH
 
-#include <deque>
 #include <memory>
 #include <ostream>
 #include <optional>
 #include <vector>
 
 #include "buffer/packet_buffer.hh"
+#include "common/block_slab.hh"
 #include "common/shift_register.hh"
 #include "common/stats.hh"
 #include "dram/address_map.hh"
@@ -131,12 +131,13 @@ class HybridBuffer
         }
     };
 
+    /** An in-flight DRAM read; its b cells sit in read_slab_. */
     struct Completion
     {
         Slot at;
         QueueId phys;
         std::uint64_t replenishSeq;
-        std::vector<Cell> cells;
+        BlockSlab::Chunk chunk;
     };
 
     void admitArrival(const Cell &cell);
@@ -203,7 +204,11 @@ class HybridBuffer
     std::vector<std::uint64_t> committed_;
     std::uint64_t group_capacity_ = 0;  // ser: config
 
-    std::deque<Completion> completions_;
+    /** In launch order, reserved to one read per bank (a bank's
+     *  read completes when its lock expires). */
+    std::vector<Completion> completions_;
+    /** Cells of the in-flight reads; saved with completions_. */
+    BlockSlab read_slab_;
 
     StatRegistry stats_;
     Counter arrivals_;

@@ -9,17 +9,27 @@
  * Ordinal keying lets the DSA launch same-queue accesses out of
  * order (reads are re-sequenced in the head SRAM, Section 8.2)
  * without corrupting queue contents.
+ *
+ * Storage: each queue keeps a power-of-two ring of chunk indices
+ * indexed by `ordinal - base`, where base is the oldest ordinal
+ * still resident.  Writes land in order per queue; out-of-order
+ * reads leave holes that the base skips once the older block goes.
+ * The cells live in one BlockSlab of b-cell chunks, capped at the
+ * total group capacity in blocks.
  */
 
 #ifndef PKTBUF_DRAM_DRAM_STORE_HH
 #define PKTBUF_DRAM_DRAM_STORE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
+#include "common/block_slab.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "common/window_ring.hh"
 
 namespace pktbuf::dram
 {
@@ -36,7 +46,8 @@ class DramStore
     DramStore(unsigned phys_queues, unsigned gran, unsigned groups,
               std::uint64_t group_capacity_cells)
         : gran_(gran), group_cells_(groups, 0),
-          group_capacity_(group_capacity_cells), queues_(phys_queues)
+          group_capacity_(group_capacity_cells), queues_(phys_queues),
+          slab_(gran, gran ? group_capacity_cells * groups / gran : 0)
     {
         panic_if(gran == 0, "zero granularity");
         panic_if(groups == 0, "zero groups");
@@ -52,50 +63,69 @@ class DramStore
     bool
     hasBlock(QueueId p, std::uint64_t ordinal) const
     {
-        return q(p).blocks.count(ordinal) != 0;
+        const auto &qq = q(p);
+        return ordinal >= qq.base && ordinal - qq.base < qq.span &&
+               qq.ring[ordinal - qq.base] != BlockSlab::kNone;
     }
 
     /** Blocks of queue p currently resident. */
     std::uint64_t
     residentBlocks(QueueId p) const
     {
-        return q(p).blocks.size();
+        return q(p).blocks;
     }
 
-    /** Store one block (exactly `gran` cells). */
-    void
-    writeBlock(QueueId p, std::uint64_t ordinal,
-               std::vector<Cell> cells, unsigned group)
+    /**
+     * Store one block of `n` (exactly `gran`) cells and return its
+     * storage for the caller to fill in place -- the write path moves
+     * the claimed t-SRAM cells straight in.  The span is valid until
+     * the next write.
+     */
+    std::span<Cell>
+    writeBlock(QueueId p, std::uint64_t ordinal, std::size_t n,
+               unsigned group)
     {
-        panic_if(cells.size() != gran_, "write of ", cells.size(),
+        panic_if(n != gran_, "write of ", n,
                  " cells, granularity is ", gran_);
         panic_if(group >= group_cells_.size(),
                  "bad group on block write");
-        auto &qq = q(p);
-        panic_if(qq.blocks.count(ordinal),
+        panic_if(hasBlock(p, ordinal),
                  "duplicate block ordinal ", ordinal, " on queue ", p);
-        qq.blocks.emplace(ordinal, std::move(cells));
         group_cells_[group] += gran_;
         panic_if(group_capacity_ &&
                  group_cells_[group] > group_capacity_,
                  "DRAM group ", group, " overflow (",
                  group_cells_[group], " > ", group_capacity_,
                  " cells): admission control must prevent this");
+        const auto c = slab_.alloc();
+        place(q(p), ordinal, c);
+        return slab_.data(c);
     }
 
-    /** Remove and return block `ordinal` of queue p. */
-    std::vector<Cell>
-    readBlock(QueueId p, std::uint64_t ordinal, unsigned group)
+    /** Remove block `ordinal` of queue p, copying it into `out`. */
+    void
+    readBlock(QueueId p, std::uint64_t ordinal, unsigned group,
+              std::span<Cell> out)
     {
-        auto &qq = q(p);
-        auto it = qq.blocks.find(ordinal);
-        panic_if(it == qq.blocks.end(),
+        panic_if(!hasBlock(p, ordinal),
                  "read of absent block ", ordinal, " on queue ", p);
-        std::vector<Cell> out = std::move(it->second);
-        qq.blocks.erase(it);
+        panic_if(out.size() != gran_, "read into ", out.size(),
+                 " cells, granularity is ", gran_);
+        auto &qq = q(p);
+        auto &chunk = qq.ring[ordinal - qq.base];
+        std::ranges::copy(slab_.data(chunk), out.begin());
+        slab_.release(chunk);
+        chunk = BlockSlab::kNone;
+        --qq.blocks;
+        // Advance the base past the read block and any holes left
+        // by younger blocks read earlier.
+        while (qq.span > 0 && qq.ring[0] == BlockSlab::kNone) {
+            qq.ring.advance();
+            ++qq.base;
+            --qq.span;
+        }
         panic_if(group_cells_[group] < gran_, "group accounting bug");
         group_cells_[group] -= gran_;
-        return out;
     }
 
     /** Cells resident in one group. */
@@ -123,7 +153,7 @@ class DramStore
     void
     recycle(QueueId p)
     {
-        panic_if(!q(p).blocks.empty(),
+        panic_if(q(p).blocks != 0,
                  "recycling non-empty queue ", p);
     }
 
@@ -137,12 +167,15 @@ class DramStore
             w.u64(g);
         w.u64(queues_.size());
         for (const auto &qq : queues_) {
-            w.u64(qq.blocks.size());
-            for (const auto &[ordinal, cells] : qq.blocks) {
-                w.u64(ordinal);
-                w.u64(cells.size());
-                for (const auto &c : cells)
-                    c.save(w);
+            w.u64(qq.blocks);
+            for (std::uint64_t off = 0; off < qq.span; ++off) {
+                const auto c = qq.ring[off];
+                if (c == BlockSlab::kNone)
+                    continue;
+                w.u64(qq.base + off);
+                w.u64(gran_);
+                for (const auto &cell : slab_.data(c))
+                    cell.save(w);
             }
         }
     }
@@ -160,25 +193,61 @@ class DramStore
         const auto nq = r.u64();
         fatal_if(nq != queues_.size(), "checkpoint: DRAM has ", nq,
                  " queues, configured ", queues_.size());
+        slab_.releaseAll();
         for (auto &qq : queues_) {
-            qq.blocks.clear();
+            qq.ring.clear();
+            qq.base = qq.span = qq.blocks = 0;
             const auto nb = r.u64();
             for (std::uint64_t i = 0; i < nb; ++i) {
                 const auto ordinal = r.u64();
                 const auto nc = r.u64();
-                std::vector<Cell> cells(nc);
-                for (auto &c : cells)
-                    c.load(r);
-                qq.blocks.emplace(ordinal, std::move(cells));
+                fatal_if(nc != gran_, "checkpoint: DRAM block of ", nc,
+                         " cells, granularity is ", gran_);
+                fatal_if(qq.blocks && ordinal < qq.base + qq.span,
+                         "checkpoint: DRAM ordinals out of order");
+                const auto c = slab_.alloc();
+                for (auto &cell : slab_.data(c))
+                    cell.load(r);
+                place(qq, ordinal, c);
             }
         }
     }
 
   private:
+    /** Chunk of ordinal base + i at ring[i] for i < span (kNone for
+     *  a hole); every other ring slot is kNone. */
     struct QueueData
     {
-        std::map<std::uint64_t, std::vector<Cell>> blocks;
+        WindowRing<BlockSlab::Chunk> ring{BlockSlab::kNone};
+        std::uint64_t base = 0;
+        std::uint64_t span = 0;
+        std::uint64_t blocks = 0;  //!< resident (non-hole) entries
     };
+
+    /** Index chunk `c` as block `ordinal` (absent before). */
+    static void
+    place(QueueData &qq, std::uint64_t ordinal, BlockSlab::Chunk c)
+    {
+        if (qq.blocks == 0) {
+            qq.base = ordinal;
+            qq.span = 0;
+        } else if (ordinal < qq.base) {
+            // An older ordinal than any resident: extend the window
+            // backwards (the slots before the front are kNone).
+            const std::uint64_t grow_by = qq.base - ordinal;
+            qq.ring.reserve(qq.span + grow_by);
+            qq.ring.retreat(grow_by);
+            qq.base = ordinal;
+            qq.span += grow_by;
+        }
+        const std::uint64_t off = ordinal - qq.base;
+        if (off >= qq.span) {
+            qq.ring.reserve(off + 1);
+            qq.span = off + 1;
+        }
+        qq.ring[off] = c;
+        ++qq.blocks;
+    }
 
     const QueueData &
     q(QueueId p) const
@@ -200,6 +269,8 @@ class DramStore
     std::vector<std::uint64_t> group_cells_;
     std::uint64_t group_capacity_;  // ser: config
     std::vector<QueueData> queues_;
+    /** Cell storage of every resident block; saved block by block. */
+    BlockSlab slab_;
 };
 
 } // namespace pktbuf::dram

@@ -22,9 +22,9 @@
 #define PKTBUF_DSS_ONGOING_REQUESTS_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -51,6 +51,8 @@ class OngoingRequests
         : timing_(std::move(timing))
     {
         panic_if(!timing_, "null timing policy");
+        // A bank holds at most one entry, so M entries never regrow.
+        entries_.reserve(timing_->banks());
     }
 
     /**
@@ -187,16 +189,13 @@ class OngoingRequests
         // bank groups can expire a fast bank behind a slow one, so
         // the whole table is scanned (it holds at most a handful of
         // in-flight accesses).
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->until <= now)
-                it = entries_.erase(it);
-            else
-                ++it;
-        }
+        std::erase_if(entries_,
+                      [now](const Entry &e) { return e.until <= now; });
     }
 
     std::shared_ptr<const dram::DramTiming> timing_;  // ser: config
-    std::deque<Entry> entries_;
+    /** In launch order (the ORRG checkpoint order). */
+    std::vector<Entry> entries_;
     Slot read_ok_ = 0;   //!< earliest legal read launch (turnaround)
     Slot write_ok_ = 0;  //!< earliest legal write launch
     HighWater high_water_;

@@ -33,6 +33,7 @@
 #include "common/logging.hh"
 #include "common/shift_register.hh"
 #include "common/types.hh"
+#include "common/window_ring.hh"
 
 namespace pktbuf::mma
 {
@@ -252,48 +253,31 @@ class EcqfMma
     }
 
   private:
-    /** Ring of entry stamps, oldest (closest to the head) first.
-     *  Capacity is always a power of two so the index wrap is a mask,
-     *  not a division -- this runs up to twice per simulated slot. */
+    /** Entry stamps of one queue, oldest (closest to the head)
+     *  first.  The power-of-two ring wraps with a mask, not a
+     *  division -- this runs up to twice per simulated slot. */
     struct StampRing
     {
-        std::vector<std::uint64_t> buf;
-        std::size_t head = 0;
+        WindowRing<std::uint64_t> stamps;
         std::size_t count = 0;
 
-        std::uint64_t
-        at(std::size_t i) const
-        {
-            return buf[(head + i) & (buf.size() - 1)];
-        }
+        std::uint64_t at(std::size_t i) const { return stamps[i]; }
 
         void
         push(std::uint64_t s)
         {
-            if (count == buf.size()) {
-                std::vector<std::uint64_t> grown(
-                    std::max<std::size_t>(8, buf.size() * 2));
-                for (std::size_t i = 0; i < count; ++i)
-                    grown[i] = at(i);
-                buf = std::move(grown);
-                head = 0;
-            }
-            buf[(head + count) & (buf.size() - 1)] = s;
-            ++count;
+            stamps.reserve(count + 1);
+            stamps[count++] = s;
         }
 
         void
         pop()
         {
-            head = (head + 1) & (buf.size() - 1);
+            stamps.advance();
             --count;
         }
 
-        void
-        clear()
-        {
-            head = count = 0;
-        }
+        void clear() { count = 0; }
     };
 
     struct CritEntry

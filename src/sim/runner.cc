@@ -68,17 +68,11 @@ SimRunner::drain(std::uint64_t max_slots)
         static_cast<std::uint64_t>(buf_.config().params.granRads) + 8;
     QueueId next = 0;
     for (std::uint64_t i = 0; i < max_slots; ++i) {
-        QueueId req = kInvalidQueue;
-        for (unsigned k = 0; k < wl_.queues(); ++k) {
-            const QueueId q = (next + k) % wl_.queues();
-            if (wl_.credit(q) > 0) {
-                req = q;
-                next = (q + 1) % wl_.queues();
-                break;
-            }
-        }
-        if (req != kInvalidQueue)
+        const QueueId req = wl_.nextRequestable(next);
+        if (req != kInvalidQueue) {
+            next = (req + 1) % wl_.queues();
             wl_.consumeCredit(req);
+        }
         const auto grant = buf_.step(std::nullopt, req);
         if (grant) {
             if (check_)

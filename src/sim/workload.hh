@@ -14,6 +14,8 @@
 #ifndef PKTBUF_SIM_WORKLOAD_HH
 #define PKTBUF_SIM_WORKLOAD_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,7 +47,7 @@ class Workload
   public:
     Workload(unsigned queues, std::uint64_t seed)
         : queues_(queues), rng_(seed), credit_(queues, 0),
-          next_seq_(queues, 0)
+          next_seq_(queues, 0), credited_((queues + 63) / 64, 0)
     {}
 
     virtual ~Workload() = default;
@@ -78,13 +80,13 @@ class Workload
             c.seq = next_seq_[aq]++;
             c.arrival = now;
             s.arrival = c;
-            ++credit_[aq];
+            addCredit(aq);
         }
         const QueueId rq = requestQueue(now);
         if (rq != kInvalidQueue) {
             panic_if(credit_[rq] == 0,
                      "workload requested unavailable cell, queue ", rq);
-            --credit_[rq];
+            takeCredit(rq);
             s.request = rq;
         }
         return s;
@@ -106,7 +108,31 @@ class Workload
     consumeCredit(QueueId q)
     {
         panic_if(credit_[q] == 0, "no credit on queue ", q);
-        --credit_[q];
+        takeCredit(q);
+    }
+
+    /**
+     * First queue with credit at or after `from`, cyclic, or
+     * kInvalidQueue when none: a word scan of the credited-queue
+     * bitmap, picking exactly the queue a probe of every queue in
+     * cyclic order would.
+     */
+    QueueId
+    nextRequestable(QueueId from) const
+    {
+        if (credited_count_ == 0)
+            return kInvalidQueue;
+        from %= queues_;
+        std::size_t w = from / 64;
+        std::uint64_t word = credited_[w] & (~0ull << (from % 64));
+        for (std::size_t i = 0; i <= credited_.size(); ++i) {
+            if (word)
+                return static_cast<QueueId>(
+                    w * 64 + std::countr_zero(word));
+            w = w + 1 == credited_.size() ? 0 : w + 1;
+            word = credited_[w];
+        }
+        panic("credited-queue bitmap out of step with its count");
     }
 
     virtual std::string name() const = 0;
@@ -144,6 +170,14 @@ class Workload
         for (auto &s : next_seq_)
             s = r.u64();
         drops_ = r.u64();
+        std::fill(credited_.begin(), credited_.end(), 0);
+        credited_count_ = 0;
+        for (QueueId q = 0; q < queues_; ++q) {
+            if (credit_[q] > 0) {
+                credited_[q / 64] |= 1ull << (q % 64);
+                ++credited_count_;
+            }
+        }
         loadExtra(r);
     }
 
@@ -156,18 +190,6 @@ class Workload
     /** Pattern-specific checkpoint state (cursors, burst windows). */
     virtual void saveExtra(ser::Writer &) const {}
     virtual void loadExtra(ser::Reader &) {}
-
-    /** First queue with credit at or after `from`, cyclic. */
-    QueueId
-    nextRequestable(QueueId from) const
-    {
-        for (unsigned i = 0; i < queues_; ++i) {
-            const QueueId q = (from + i) % queues_;
-            if (credit_[q] > 0)
-                return q;
-        }
-        return kInvalidQueue;
-    }
 
     /**
      * Random queue with credit, or invalid if none -- the *legacy*
@@ -189,21 +211,27 @@ class Workload
     /**
      * Genuinely uniform queue with credit, or invalid if none: the
      * k-th credited queue for k drawn uniformly from the credited
-     * count (one RNG draw, two O(Q) scans).  Used by the timed-DRAM
-     * scenario legs.
+     * count (one RNG draw, then a popcount walk of the bitmap).
+     * Used by the timed-DRAM scenario legs.
      */
     QueueId
     uniformRequestable()
     {
-        unsigned credited = 0;
-        for (QueueId q = 0; q < queues_; ++q)
-            credited += credit_[q] > 0 ? 1 : 0;
-        if (credited == 0)
+        if (credited_count_ == 0)
             return kInvalidQueue;
-        auto k = rng_.below(credited);
-        for (QueueId q = 0; q < queues_; ++q) {
-            if (credit_[q] > 0 && k-- == 0)
-                return q;
+        auto k = rng_.below(credited_count_);
+        for (std::size_t w = 0; w < credited_.size(); ++w) {
+            std::uint64_t word = credited_[w];
+            const auto ones =
+                static_cast<std::uint64_t>(std::popcount(word));
+            if (k >= ones) {
+                k -= ones;
+                continue;
+            }
+            for (; k > 0; --k)
+                word &= word - 1;  // drop the lowest set bit
+            return static_cast<QueueId>(w * 64 +
+                                        std::countr_zero(word));
         }
         panic("uniformRequestable scan overran the credited count");
     }
@@ -212,9 +240,30 @@ class Workload
     Rng rng_;
 
   private:
+    void
+    addCredit(QueueId q)
+    {
+        if (credit_[q]++ == 0) {
+            credited_[q / 64] |= 1ull << (q % 64);
+            ++credited_count_;
+        }
+    }
+
+    void
+    takeCredit(QueueId q)
+    {
+        if (--credit_[q] == 0) {
+            credited_[q / 64] &= ~(1ull << (q % 64));
+            --credited_count_;
+        }
+    }
+
     std::vector<std::uint64_t> credit_;
     std::vector<SeqNum> next_seq_;
     std::uint64_t drops_ = 0;
+    /** One bit per queue: credit_[q] > 0.  Rebuilt by load(). */
+    std::vector<std::uint64_t> credited_;  // ser: derived
+    std::uint64_t credited_count_ = 0;  // ser: derived
 };
 
 /**

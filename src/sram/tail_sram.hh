@@ -6,6 +6,11 @@
  * DSA to launch the write), and the head path may *bypass* unclaimed
  * cells directly into the h-SRAM when the queue has nothing resident
  * in DRAM.
+ *
+ * Storage: each queue is a chain of b-cell chunks from one BlockSlab
+ * capped at the enforced capacity.  Emptied chunks go straight back
+ * to the slab, so every chained chunk holds at least one cell and the
+ * chunk count never exceeds the cell occupancy.
  */
 
 #ifndef PKTBUF_SRAM_TAIL_SRAM_HH
@@ -14,9 +19,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
+#include "common/block_slab.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -27,9 +33,14 @@ namespace pktbuf::sram
 class TailSram
 {
   public:
-    /** @param capacity_cells 0 = unbounded (measurement mode). */
-    TailSram(unsigned phys_queues, std::uint64_t capacity_cells)
+    /**
+     * @param capacity_cells 0 = unbounded (measurement mode).
+     * @param gran           cells per storage chunk (b)
+     */
+    TailSram(unsigned phys_queues, std::uint64_t capacity_cells,
+             unsigned gran)
         : queues_(phys_queues), capacity_(capacity_cells),
+          slab_(gran, capacity_cells),
           elig_((phys_queues + 63) / 64, 0)
     {}
 
@@ -79,12 +90,12 @@ class TailSram
     push(QueueId p, const Cell &cell)
     {
         auto &qq = q(p);
-        qq.cells.push_back(cell);
         ++occupancy_;
         high_water_.observe(static_cast<std::int64_t>(occupancy_));
         panic_if(capacity_ && occupancy_ > capacity_,
                  "t-SRAM overflow: ", occupancy_, " cells > capacity ",
                  capacity_, " -- dimensioning violated");
+        append(qq, cell);
         refreshEligible(p);
     }
 
@@ -93,14 +104,14 @@ class TailSram
     unclaimed(QueueId p) const
     {
         const auto &qq = q(p);
-        return qq.cells.size() - qq.claimed;
+        return qq.cells - qq.claimed;
     }
 
     /** Total cells of p still in the t-SRAM (claimed or not). */
     std::uint64_t
     cellsOf(QueueId p) const
     {
-        return q(p).cells.size();
+        return q(p).cells;
     }
 
     /**
@@ -129,35 +140,37 @@ class TailSram
         refreshEligible(p);
     }
 
-    /** Remove the oldest `gran` (claimed) cells: the write launches. */
-    std::vector<Cell>
-    extractClaimed(QueueId p, unsigned gran)
+    /**
+     * The write launches: move the oldest out.size() (claimed) cells
+     * into `out`, the DRAM block's storage.
+     */
+    void
+    extractClaimed(QueueId p, std::span<Cell> out)
     {
         auto &qq = q(p);
-        panic_if(qq.claimed < gran, "extracting unclaimed cells");
-        std::vector<Cell> out = take(qq, gran);
-        qq.claimed -= gran;
+        panic_if(qq.claimed < out.size(), "extracting unclaimed cells");
+        take(qq, out);
+        qq.claimed -= out.size();
         refreshEligible(p);
-        return out;
     }
 
     /**
-     * Bypass up to `max_cells` *unclaimed* oldest cells straight to
-     * the head path.  Only legal when the queue has no cells in DRAM
-     * and no claimed cells ahead (the caller enforces order).
+     * Bypass up to out.size() *unclaimed* oldest cells straight into
+     * `out`, an h-SRAM block.  Only legal when the queue has no cells
+     * in DRAM and no claimed cells ahead (the caller enforces order).
+     * @return cells moved
      */
-    std::vector<Cell>
-    extractBypass(QueueId p, unsigned max_cells)
+    std::size_t
+    extractBypass(QueueId p, std::span<Cell> out)
     {
         auto &qq = q(p);
         panic_if(qq.claimed != 0,
                  "bypass with ", qq.claimed,
                  " claimed cells ahead on queue ", p);
-        const auto n = std::min<std::uint64_t>(max_cells,
-                                               qq.cells.size());
-        std::vector<Cell> out = take(qq, static_cast<unsigned>(n));
+        const auto n = std::min<std::uint64_t>(out.size(), qq.cells);
+        take(qq, out.first(n));
         refreshEligible(p);
-        return out;
+        return n;
     }
 
     std::uint64_t occupancy() const { return occupancy_; }
@@ -169,7 +182,7 @@ class TailSram
     recycle(QueueId p)
     {
         auto &qq = q(p);
-        panic_if(!qq.cells.empty() || qq.claimed != 0,
+        panic_if(qq.cells != 0 || qq.claimed != 0,
                  "recycling non-empty tail queue ", p);
     }
 
@@ -181,9 +194,16 @@ class TailSram
         w.u64(queues_.size());
         for (const auto &qq : queues_) {
             w.u64(qq.claimed);
-            w.u64(qq.cells.size());
-            for (const auto &c : qq.cells)
-                c.save(w);
+            w.u64(qq.cells);
+            std::uint64_t left = qq.cells;
+            for (auto c = qq.head; left > 0; c = next_[c]) {
+                const auto cells = slab_.data(c);
+                const std::size_t from = c == qq.head ? qq.head_off : 0;
+                const std::size_t to = c == qq.tail ? qq.tail_fill
+                                                    : cells.size();
+                for (std::size_t i = from; i < to; ++i, --left)
+                    cells[i].save(w);
+            }
         }
         w.u64(occupancy_);
         high_water_.save(w);
@@ -196,14 +216,15 @@ class TailSram
         const auto n = r.u64();
         fatal_if(n != queues_.size(), "checkpoint: t-SRAM has ", n,
                  " queues, configured ", queues_.size());
+        slab_.releaseAll();
         for (auto &qq : queues_) {
+            qq = QueueState{};
             qq.claimed = r.u64();
-            qq.cells.clear();
             const auto nc = r.u64();
             for (std::uint64_t i = 0; i < nc; ++i) {
                 Cell c;
                 c.load(r);
-                qq.cells.push_back(c);
+                append(qq, c);
             }
         }
         occupancy_ = r.u64();
@@ -214,11 +235,40 @@ class TailSram
     }
 
   private:
+    /** Cells live in chunks head..tail, linked through next_;
+     *  the oldest sits at head_off, the newest at tail_fill - 1. */
     struct QueueState
     {
-        std::deque<Cell> cells;
+        BlockSlab::Chunk head = BlockSlab::kNone;
+        BlockSlab::Chunk tail = BlockSlab::kNone;
+        unsigned head_off = 0;
+        unsigned tail_fill = 0;
+        std::uint64_t cells = 0;
         std::uint64_t claimed = 0;
     };
+
+    /** Append one cell, chaining a fresh chunk when the tail is full. */
+    void
+    append(QueueState &qq, const Cell &cell)
+    {
+        if (qq.tail == BlockSlab::kNone ||
+            qq.tail_fill == slab_.chunkCells()) {
+            const auto c = slab_.alloc();
+            if (next_.size() < slab_.chunks())
+                next_.resize(slab_.chunks(), BlockSlab::kNone);
+            next_[c] = BlockSlab::kNone;
+            if (qq.tail == BlockSlab::kNone) {
+                qq.head = c;
+                qq.head_off = 0;
+            } else {
+                next_[qq.tail] = c;
+            }
+            qq.tail = c;
+            qq.tail_fill = 0;
+        }
+        slab_.data(qq.tail)[qq.tail_fill++] = cell;
+        ++qq.cells;
+    }
 
     /** Re-derive p's bit in the eligibility bitmap (O(1)). */
     void
@@ -238,19 +288,29 @@ class TailSram
             --eligible_;
     }
 
-    std::vector<Cell>
-    take(QueueState &qq, unsigned n)
+    /** Move the oldest out.size() cells of a queue into `out`,
+     *  returning each emptied chunk to the slab. */
+    void
+    take(QueueState &qq, std::span<Cell> out)
     {
-        std::vector<Cell> out;
-        out.reserve(n);
-        for (unsigned i = 0; i < n; ++i) {
-            panic_if(qq.cells.empty(), "t-SRAM underflow");
-            out.push_back(qq.cells.front());
-            qq.cells.pop_front();
+        panic_if(qq.cells < out.size(), "t-SRAM underflow");
+        for (Cell &c : out) {
+            c = slab_.data(qq.head)[qq.head_off++];
+            --qq.cells;
+            if (qq.cells == 0 || qq.head_off == slab_.chunkCells()) {
+                const auto done = qq.head;
+                qq.head = next_[done];
+                qq.head_off = 0;
+                if (qq.cells == 0) {
+                    qq.tail = BlockSlab::kNone;
+                    qq.tail_fill = 0;
+                }
+                slab_.release(done);
+            }
         }
-        panic_if(occupancy_ < n, "t-SRAM occupancy accounting bug");
-        occupancy_ -= n;
-        return out;
+        panic_if(occupancy_ < out.size(),
+                 "t-SRAM occupancy accounting bug");
+        occupancy_ -= out.size();
     }
 
     const QueueState &
@@ -271,6 +331,10 @@ class TailSram
 
     std::vector<QueueState> queues_;
     std::uint64_t capacity_;  // ser: config
+    /** Cell storage of every queue; saved cell by cell per queue. */
+    BlockSlab slab_;
+    /** Chunk chain links, indexed like the slab's chunks. */
+    std::vector<BlockSlab::Chunk> next_;  // ser: derived
     std::uint64_t occupancy_ = 0;
     HighWater high_water_;
     /** Write threshold the eligibility bitmap is armed with. */

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.hh"
 #include "dram/bank_state.hh"
 #include "dram/dram_store.hh"
@@ -24,6 +27,23 @@ block(QueueId q, SeqNum first, unsigned n)
     for (unsigned i = 0; i < n; ++i)
         cells.push_back(Cell{q, first + i, 0});
     return cells;
+}
+
+/** Write `cells` as block `ordinal`, copied into place. */
+void
+write(DramStore &d, QueueId p, std::uint64_t ordinal,
+      const std::vector<Cell> &cells, unsigned group)
+{
+    const auto dst = d.writeBlock(p, ordinal, cells.size(), group);
+    std::ranges::copy(cells, dst.begin());
+}
+
+std::vector<Cell>
+read(DramStore &d, QueueId p, std::uint64_t ordinal, unsigned group)
+{
+    std::vector<Cell> out(d.gran());
+    d.readBlock(p, ordinal, group, out);
+    return out;
 }
 
 } // namespace
@@ -70,14 +90,14 @@ TEST(BankState, RejectsBadArguments)
 TEST(DramStore, WriteReadRoundTrip)
 {
     DramStore d(4, 4, 2, 0);
-    d.writeBlock(0, 0, block(0, 0, 4), 0);
-    d.writeBlock(0, 1, block(0, 4, 4), 0);
+    write(d, 0, 0, block(0, 0, 4), 0);
+    write(d, 0, 1, block(0, 4, 4), 0);
     EXPECT_TRUE(d.hasBlock(0, 0));
     EXPECT_TRUE(d.hasBlock(0, 1));
     EXPECT_FALSE(d.hasBlock(0, 2));
     EXPECT_EQ(d.residentBlocks(0), 2u);
 
-    const auto cells = d.readBlock(0, 0, 0);
+    const auto cells = read(d, 0, 0, 0);
     ASSERT_EQ(cells.size(), 4u);
     EXPECT_EQ(cells[0].seq, 0u);
     EXPECT_EQ(cells[3].seq, 3u);
@@ -89,58 +109,58 @@ TEST(DramStore, OutOfOrderOrdinalsSupported)
 {
     // The DSA may launch block k+1's write before block k's.
     DramStore d(2, 2, 1, 0);
-    d.writeBlock(1, 5, block(1, 10, 2), 0);
-    d.writeBlock(1, 4, block(1, 8, 2), 0);
-    EXPECT_EQ(d.readBlock(1, 4, 0)[0].seq, 8u);
-    EXPECT_EQ(d.readBlock(1, 5, 0)[0].seq, 10u);
+    write(d, 1, 5, block(1, 10, 2), 0);
+    write(d, 1, 4, block(1, 8, 2), 0);
+    EXPECT_EQ(read(d, 1, 4, 0)[0].seq, 8u);
+    EXPECT_EQ(read(d, 1, 5, 0)[0].seq, 10u);
 }
 
 TEST(DramStore, WrongSizeBlockPanics)
 {
     DramStore d(2, 4, 1, 0);
-    EXPECT_THROW(d.writeBlock(0, 0, block(0, 0, 3), 0), PanicError);
+    EXPECT_THROW(write(d, 0, 0, block(0, 0, 3), 0), PanicError);
 }
 
 TEST(DramStore, DuplicateOrdinalPanics)
 {
     DramStore d(2, 2, 1, 0);
-    d.writeBlock(0, 7, block(0, 0, 2), 0);
-    EXPECT_THROW(d.writeBlock(0, 7, block(0, 2, 2), 0), PanicError);
+    write(d, 0, 7, block(0, 0, 2), 0);
+    EXPECT_THROW(write(d, 0, 7, block(0, 2, 2), 0), PanicError);
 }
 
 TEST(DramStore, AbsentBlockReadPanics)
 {
     DramStore d(2, 2, 1, 0);
-    EXPECT_THROW(d.readBlock(0, 0, 0), PanicError);
+    EXPECT_THROW(read(d, 0, 0, 0), PanicError);
 }
 
 TEST(DramStore, GroupAccounting)
 {
     DramStore d(4, 2, 2, 8);
-    d.writeBlock(0, 0, block(0, 0, 2), 0); // group 0
-    d.writeBlock(1, 0, block(1, 0, 2), 1); // group 1
-    d.writeBlock(2, 0, block(2, 0, 2), 0);
+    write(d, 0, 0, block(0, 0, 2), 0); // group 0
+    write(d, 1, 0, block(1, 0, 2), 1); // group 1
+    write(d, 2, 0, block(2, 0, 2), 0);
     EXPECT_EQ(d.groupCells(0), 4u);
     EXPECT_EQ(d.groupCells(1), 2u);
     EXPECT_EQ(d.totalCells(), 6u);
-    d.readBlock(0, 0, 0);
+    read(d, 0, 0, 0);
     EXPECT_EQ(d.groupCells(0), 2u);
 }
 
 TEST(DramStore, GroupOverflowPanics)
 {
     DramStore d(4, 2, 1, 4);
-    d.writeBlock(0, 0, block(0, 0, 2), 0);
-    d.writeBlock(0, 1, block(0, 2, 2), 0);
-    EXPECT_THROW(d.writeBlock(0, 2, block(0, 4, 2), 0), PanicError);
+    write(d, 0, 0, block(0, 0, 2), 0);
+    write(d, 0, 1, block(0, 2, 2), 0);
+    EXPECT_THROW(write(d, 0, 2, block(0, 4, 2), 0), PanicError);
 }
 
 TEST(DramStore, RecycleRequiresEmpty)
 {
     DramStore d(2, 2, 1, 0);
-    d.writeBlock(0, 0, block(0, 0, 2), 0);
+    write(d, 0, 0, block(0, 0, 2), 0);
     EXPECT_THROW(d.recycle(0), PanicError);
-    d.readBlock(0, 0, 0);
+    read(d, 0, 0, 0);
     EXPECT_NO_THROW(d.recycle(0));
 }
 
