@@ -35,8 +35,7 @@ runConfig(const SwitchConfig &cfg)
     // Ports run inside this task (jobs=1): the bench's own --jobs
     // already shards the configurations across the pool, and nested
     // pools would oversubscribe without changing any output byte.
-    const SwitchSim sim(cfg);
-    const auto out = sim.run(/*jobs=*/1);
+    const auto out = runSwitch(cfg, /*jobs=*/1);
     sweep::TaskResult res;
     const auto *granted = out.report.agg("granted");
     const auto *delay = out.report.agg("mean_delay_slots");

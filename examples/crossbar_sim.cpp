@@ -126,7 +126,7 @@ main(int argc, char **argv)
             }
         } else if (!std::strcmp(argv[i], "--load")) {
             cfg.load = cli::parseDouble("--load", next(), 0.0,
-                                        CrossbarConfig::kMaxInputLoad);
+                                        CrossbarConfig::kMaxLoad);
         } else if (!std::strcmp(argv[i], "--slots")) {
             cfg.slots = cli::parseUnsigned("--slots", next(), 1,
                                            UINT64_MAX);
@@ -135,7 +135,7 @@ main(int argc, char **argv)
             cfg.masterSeed = cli::parseUnsigned("--seed", next(), 0,
                                                 UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--hot-outputs")) {
-            cfg.hotOutputs =
+            cfg.hotCount =
                 cli::parseUint("--hot-outputs", next(), 0, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--hot-fraction")) {
             cfg.hotFraction =
@@ -226,7 +226,7 @@ main(int argc, char **argv)
                     name, a->min, a->p50, a->p99, a->max);
     }
     std::printf("%u inputs, %zu failed%s\n", rep.ports,
-                rep.failedInputs, smoke ? " (smoke run)" : "");
+                rep.failed, smoke ? " (smoke run)" : "");
 
     sweep::Record extra;
     extra.set("smoke", smoke);

@@ -24,9 +24,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -126,7 +126,7 @@ main(int argc, char **argv)
             cfg.queues = cli::parseUint("--queues", next(), 1, 65536);
         } else if (!std::strcmp(argv[i], "--load")) {
             cfg.load = cli::parseDouble("--load", next(), 0.0,
-                                        SwitchConfig::kMaxPortLoad);
+                                        SwitchConfig::kMaxLoad);
         } else if (!std::strcmp(argv[i], "--slots")) {
             cfg.slots = cli::parseUnsigned("--slots", next(), 1,
                                            UINT64_MAX);
@@ -135,7 +135,7 @@ main(int argc, char **argv)
             cfg.masterSeed = cli::parseUnsigned("--seed", next(), 0,
                                                 UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--hot-ports")) {
-            cfg.hotPorts =
+            cfg.hotCount =
                 cli::parseUint("--hot-ports", next(), 0, kMaxPorts);
         } else if (!std::strcmp(argv[i], "--hot-fraction")) {
             cfg.hotFraction =
@@ -168,9 +168,9 @@ main(int argc, char **argv)
 
     // An impossible knob combination (zero ports, starving hot
     // fraction, victim out of range) is a user error, not a crash.
-    std::optional<SwitchSim> sim;
+    std::vector<PortPlan> plans;
     try {
-        sim.emplace(cfg);
+        plans = planPorts(cfg);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;
@@ -178,7 +178,7 @@ main(int argc, char **argv)
 
     if (list) {
         std::printf("%s\n", cfg.describe().c_str());
-        for (const auto &p : sim->plans()) {
+        for (const auto &p : plans) {
             std::printf("  port%-3u %s\n", p.port,
                         p.scenario.describe().c_str());
         }
@@ -193,7 +193,7 @@ main(int argc, char **argv)
                 "leg", "arrivals", "granted", "drained", "drops",
                 "renames", "status");
 
-    const auto out = sim->run(jobs);
+    const auto out = runPlans(plans, jobs);
     for (std::size_t i = 0; i < out.ports.size(); ++i) {
         const auto &plan = out.plans[i];
         const auto &po = out.ports[i];
@@ -226,7 +226,7 @@ main(int argc, char **argv)
                     name, a->min, a->p50, a->p99, a->max);
     }
     std::printf("%u ports, %zu failed%s\n", rep.ports,
-                rep.failedPorts, smoke ? " (smoke run)" : "");
+                rep.failed, smoke ? " (smoke run)" : "");
 
     if (stats) {
         std::ostringstream os;

@@ -42,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "crossbar/scheduler.hh"
@@ -56,67 +55,32 @@
 namespace pktbuf::xbar
 {
 
-/** Static configuration of a whole crossbar run. */
-struct CrossbarConfig
+/**
+ * Static configuration of a whole crossbar run: the shared port-set
+ * knobs (sw::PortSetConfig), reinterpreted over an N x N fabric --
+ * `ports` is the radix, the pattern picks *outputs*, the hot count
+ * and the incast victim name outputs -- plus the scheduler, which
+ * draws from deriveSeed(masterSeed, kSchedSalt) so no stream depends
+ * on any other.
+ */
+struct CrossbarConfig : sw::PortSetConfig
 {
-    /** Crossbar radix: N inputs x N outputs, one VOQ per pair. */
-    unsigned ports = 4;
-
-    /** Destination pattern, over *outputs* (see file comment). */
-    sw::TrafficPattern pattern = sw::TrafficPattern::Uniform;
-
     SchedulerKind scheduler = SchedulerKind::Islip;
     /** iSLIP request/grant/accept rounds per slot. */
     unsigned islipIterations = 4;
     /** QPS sliding-window hold length in slots. */
     unsigned qpsWindow = 8;
 
-    /** Buffer architecture of every input port. */
-    sim::BufferVariant variant = sim::BufferVariant::Cfds;
-    unsigned granRads = 8;  //!< B
-    unsigned gran = 2;      //!< b (forced to B on RADS)
-    unsigned groups = 4;    //!< G (forced to 1 on RADS)
-
-    /** Mean offered load per input (arrival probability per slot). */
-    double load = 0.45;
-
-    std::uint64_t slots = 20000;
-
-    /**
-     * Every input's seed is deriveSeed(masterSeed, input); the
-     * scheduler draws from deriveSeed(masterSeed, kSchedSalt), so no
-     * stream depends on any other.
-     */
-    std::uint64_t masterSeed = 1;
-
-    /** Hotspot: hot output count; 0 = max(1, ports/4). */
-    unsigned hotOutputs = 0;
-    /** Hotspot: requested fraction of arrivals on the hot side
-     *  (clamped so no hot output exceeds kMaxSkewedOutputLoad). */
-    double hotFraction = 0.5;
-
-    /** Incast: victim output index (must be < ports). */
-    unsigned incastVictim = 0;
-    /** Incast: mean destination-burst length toward the victim. */
-    std::uint64_t incastBurst = 64;
-
-    /** Hard cap on any input's offered load. */
-    static constexpr double kMaxInputLoad = 0.9;
     /**
      * Hard cap on the aggregate load converging on one *skewed*
      * output (hotspot / incast).  An output drains at most one cell
      * per slot, but a skewed output's cells also concentrate on one
      * VOQ per input, whose bank group sustains only 1 access per b
      * slots -- the same concentration argument behind
-     * sw::SwitchConfig::kMaxBurstyLoad.
+     * kMaxConcentratedLoad.  The requested hot fraction is clamped
+     * so no hot output exceeds it.
      */
     static constexpr double kMaxSkewedOutputLoad = 0.75;
-    /**
-     * Hard cap on a permutation input's load: the whole input rate
-     * lands on a single VOQ (DESIGN.md's concentration bound, the
-     * renaming property envelope's 0.45).
-     */
-    static constexpr double kMaxVoqLoad = 0.45;
 
     /** Unique, file/test-name-safe identifier of the run. */
     std::string name() const;
@@ -164,8 +128,8 @@ struct InputPlan
  * Resolve a crossbar configuration into one plan per input: derive
  * seeds, resolve the destination pattern's probabilities against the
  * per-output load caps, shape each input's scenario leg.  fatal() on
- * impossible knobs (zero ports, victim out of range, load outside
- * (0, kMaxInputLoad]).
+ * impossible knobs (sw::validatePortSet(): zero ports, victim out of
+ * range, load outside (0, kMaxLoad], ...).
  */
 std::vector<InputPlan> planCrossbar(const CrossbarConfig &cfg);
 
@@ -231,22 +195,10 @@ class CrossbarPortWorkload : public sim::Workload
 std::unique_ptr<CrossbarPortWorkload>
 makeInputWorkload(const InputPlan &plan, bool self_greedy = false);
 
-/** Crossbar-level aggregation of the per-input outcomes. */
-struct CrossbarReport
+/** Crossbar-level aggregation: the per-input totals plus the
+ *  fabric's counters. */
+struct CrossbarReport : sw::PortTotals
 {
-    unsigned ports = 0;
-    std::size_t failedInputs = 0;
-
-    /** Straight sums over inputs. */
-    std::uint64_t arrivals = 0;
-    std::uint64_t granted = 0;  //!< golden-verified grants
-    std::uint64_t drained = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t undelivered = 0;
-    std::uint64_t dramReads = 0;
-    std::uint64_t dramWrites = 0;
-    std::uint64_t renames = 0;
-
     /** Fabric counters (main phase only, before the drain). */
     std::uint64_t matchEdges = 0;   //!< granted fabric transfers
     std::uint64_t activeSlots = 0;  //!< slots with any backed VOQ
@@ -259,13 +211,6 @@ struct CrossbarReport
     double meanMatchSize = 0.0;
     /** iterSum / activeSlots. */
     double meanIterations = 0.0;
-
-    /** Per-stat spread across inputs (sw::aggregateStat), keyed by
-     *  the scenarioRecord field names, in emission order. */
-    std::vector<std::pair<std::string, sw::PortStatAgg>> aggregates;
-
-    /** The named aggregate, or nullptr when absent. */
-    const sw::PortStatAgg *agg(const std::string &name) const;
 };
 
 /** Outcome of a whole crossbar run. */
@@ -357,20 +302,22 @@ class CrossbarRun
 };
 
 /**
- * Run one crossbar end to end.  Never throws: panics and fatals
- * become a failed outcome whose message carries describe() (and so
- * the master seed).
- */
-CrossbarOutcome runCrossbar(const CrossbarConfig &cfg);
-
-/**
  * Run one crossbar, checkpointing every `every` main-phase slots and
  * restoring each snapshot into a completely fresh CrossbarRun before
  * continuing -- the crossbar soak self-test.  `every` == 0 (or >=
- * slots) degenerates to a plain run.  Never throws.
+ * slots) degenerates to a plain run.  Never throws: panics and
+ * fatals become a failed outcome whose message carries describe()
+ * (and so the master seed).
  */
 CrossbarOutcome runCrossbarCheckpointed(const CrossbarConfig &cfg,
                                         std::uint64_t every);
+
+/** Run one crossbar end to end: runCrossbarCheckpointed(cfg, 0). */
+inline CrossbarOutcome
+runCrossbar(const CrossbarConfig &cfg)
+{
+    return runCrossbarCheckpointed(cfg, 0);
+}
 
 /**
  * One result row per input: the scenario record of the input's leg
@@ -387,10 +334,9 @@ sweep::Record crossbarRecord(const CrossbarConfig &cfg,
                              const CrossbarOutcome &out);
 
 /**
- * Emit the sweep-schema JSON/CSV artifacts of a finished run: one
- * row per input (in input order) plus one final "aggregate" row.
- * Purely a function of the outcome.  Paths: empty = skip, "-" =
- * stdout.
+ * The crossbar's artifacts (sw::emitPortArtifacts): one row per
+ * input (in input order) plus the aggregate row.  Purely a function
+ * of the outcome.
  */
 void emitCrossbarArtifacts(const CrossbarConfig &cfg,
                            const CrossbarOutcome &out,

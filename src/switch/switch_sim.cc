@@ -23,12 +23,6 @@ namespace
  *  collides with a port's deriveSeed(master, port) stream. */
 constexpr std::uint64_t kPermSalt = 0x7065726dull;  // "perm"
 
-double
-clampLoad(double v)
-{
-    return std::min(std::max(v, 0.0), SwitchConfig::kMaxPortLoad);
-}
-
 sim::BufferVariant
 portVariant(const SwitchConfig &cfg, unsigned p)
 {
@@ -44,15 +38,68 @@ portVariant(const SwitchConfig &cfg, unsigned p)
     }
 }
 
+} // namespace
+
+void
+validatePortSet(const PortSetConfig &cfg, const char *layer,
+                const char *victim, const char *fraction)
+{
+    fatal_if(cfg.ports == 0, layer, " needs at least one port");
+    fatal_if(cfg.load <= 0.0, layer, " load must be positive");
+    // The CLIs reject such a load outright; a library caller gets the
+    // same clean error instead of a silent clamp that the aggregate
+    // row would then misreport.
+    fatal_if(cfg.load > PortSetConfig::kMaxLoad, layer, " load ",
+             cfg.load, " exceeds the per-port cap ",
+             PortSetConfig::kMaxLoad);
+    fatal_if(cfg.pattern == TrafficPattern::Incast &&
+                 cfg.incastVictim >= cfg.ports,
+             victim, cfg.incastVictim, " out of range (",
+             cfg.ports, " ports)");
+    // A fraction at (or beyond) either extreme starves one side of
+    // the split outright -- the starved ports would then fail the
+    // "delivered no cells" invariant with a misleading diagnosis, so
+    // reject the impossible knob up front.
+    fatal_if((cfg.pattern == TrafficPattern::Hotspot ||
+              cfg.pattern == TrafficPattern::Incast) &&
+                 (cfg.hotFraction <= 0.0 || cfg.hotFraction >= 1.0),
+             fraction, cfg.hotFraction,
+             " outside (0, 1) starves one side of the ",
+             sw::toString(cfg.pattern), " split");
+}
+
 unsigned
-resolvedHotPorts(const SwitchConfig &cfg)
+resolvedHotCount(const PortSetConfig &cfg)
 {
     const unsigned hot =
-        cfg.hotPorts ? cfg.hotPorts : std::max(1u, cfg.ports / 4);
+        cfg.hotCount ? cfg.hotCount : std::max(1u, cfg.ports / 4);
     return std::min(hot, cfg.ports);
 }
 
-} // namespace
+sim::Scenario
+shapeLeg(const PortSetConfig &cfg, sim::BufferVariant variant,
+         unsigned index, unsigned queues, unsigned phys)
+{
+    sim::Scenario s;
+    s.variant = variant;
+    s.workload = sim::WorkloadKind::Bernoulli;
+    s.queues = queues;
+    s.granRads = cfg.granRads;
+    if (variant == sim::BufferVariant::Rads) {
+        s.gran = cfg.granRads;
+        s.groups = 1;
+    } else {
+        s.gran = cfg.gran;
+        s.groups = cfg.groups;
+    }
+    if (variant == sim::BufferVariant::CfdsRenaming) {
+        s.physQueues = phys;
+        s.dramCells = 1ull * phys * cfg.granRads;
+    }
+    s.slots = cfg.slots;
+    s.seed = sweep::deriveSeed(cfg.masterSeed, index);
+    return s;
+}
 
 std::string
 SwitchConfig::name() const
@@ -72,7 +119,7 @@ SwitchConfig::describe() const
     os << name() << " groups=" << groups << " load=" << load
        << " slots=" << slots << " master_seed=" << masterSeed;
     if (pattern == TrafficPattern::Hotspot) {
-        os << " hot_ports=" << resolvedHotPorts(*this)
+        os << " hot_ports=" << resolvedHotCount(*this)
            << " hot_fraction=" << hotFraction;
     }
     if (pattern == TrafficPattern::Incast) {
@@ -87,26 +134,12 @@ SwitchConfig::describe() const
 std::vector<PortPlan>
 planPorts(const SwitchConfig &cfg)
 {
-    fatal_if(cfg.ports == 0, "switch needs at least one port");
+    validatePortSet(cfg, "switch", "incast victim ",
+                    "switch hot fraction ");
     fatal_if(cfg.queues == 0, "switch needs at least one queue");
-    fatal_if(cfg.load <= 0.0, "switch load must be positive");
-    fatal_if(cfg.pattern == TrafficPattern::Incast &&
-                 cfg.incastVictim >= cfg.ports,
-             "incast victim ", cfg.incastVictim, " out of range (",
-             cfg.ports, " ports)");
-    // A fraction at (or beyond) either extreme starves one side of
-    // the split outright -- the starved ports would then fail the
-    // "delivered no cells" invariant with a misleading diagnosis, so
-    // reject the impossible knob up front.
-    fatal_if((cfg.pattern == TrafficPattern::Hotspot ||
-              cfg.pattern == TrafficPattern::Incast) &&
-                 (cfg.hotFraction <= 0.0 || cfg.hotFraction >= 1.0),
-             "switch hot fraction ", cfg.hotFraction,
-             " outside (0, 1) starves one side of the ",
-             sw::toString(cfg.pattern), " split");
 
     const double total = cfg.ports * cfg.load;
-    const unsigned hot = resolvedHotPorts(cfg);
+    const unsigned hot = resolvedHotCount(cfg);
 
     // The permutation pattern's fixed port -> queue map: a seeded
     // Fisher-Yates permutation of the queue ids, drawn once for the
@@ -129,33 +162,18 @@ planPorts(const SwitchConfig &cfg)
         plan.port = p;
         plan.pattern = cfg.pattern;
 
-        sim::Scenario s;
-        s.variant = portVariant(cfg, p);
-        s.workload = sim::WorkloadKind::Bernoulli;
-        s.queues = cfg.queues;
-        s.granRads = cfg.granRads;
-        if (s.variant == sim::BufferVariant::Rads) {
-            s.gran = cfg.granRads;
-            s.groups = 1;
-        } else {
-            s.gran = cfg.gran;
-            s.groups = cfg.groups;
-        }
-        if (s.variant == sim::BufferVariant::CfdsRenaming) {
-            // Same shape the matrix's renaming legs use: fewer
-            // logical than physical queues and a DRAM tight enough
-            // that renaming chains actually form.
-            s.physQueues = cfg.queues;
-            s.queues = std::max(1u, cfg.queues / 2);
-            s.dramCells = 1ull * cfg.queues * cfg.granRads;
-        }
+        const auto variant = portVariant(cfg, p);
+        sim::Scenario s = shapeLeg(
+            cfg, variant, p,
+            variant == sim::BufferVariant::CfdsRenaming
+                ? std::max(1u, cfg.queues / 2)
+                : cfg.queues,
+            cfg.queues);
         // Non-uniform DDR timing requires the banked CFDS
         // organization; RADS and renaming ports keep the uniform
         // model.
         if (s.variant == sim::BufferVariant::Cfds)
             s.timing = cfg.timing;
-        s.slots = cfg.slots;
-        s.seed = sweep::deriveSeed(cfg.masterSeed, p);
 
         double L = cfg.load;
         switch (cfg.pattern) {
@@ -180,7 +198,7 @@ planPorts(const SwitchConfig &cfg)
             // victim is unambiguously the hot port.
             const double victim = std::min(
                 std::max(cfg.load, total * cfg.hotFraction),
-                SwitchConfig::kMaxBurstyLoad);
+                SwitchConfig::kMaxConcentratedLoad);
             if (p == cfg.incastVictim) {
                 L = victim;
                 plan.victim = true;
@@ -193,7 +211,7 @@ planPorts(const SwitchConfig &cfg)
             break;
           }
         }
-        s.load = clampLoad(L);
+        s.load = std::min(L, SwitchConfig::kMaxLoad);
 
         if (cfg.pattern == TrafficPattern::Permutation) {
             // Affinity stripe: half the port's (logical) VOQs,
@@ -289,7 +307,7 @@ aggregateStat(const std::vector<double> &per_port)
 }
 
 const PortStatAgg *
-SwitchReport::agg(const std::string &name) const
+PortTotals::agg(const std::string &name) const
 {
     for (const auto &[k, v] : aggregates)
         if (k == name)
@@ -367,21 +385,9 @@ aggregateReport(const std::vector<PortPlan> &plans,
                 const std::vector<sim::ScenarioOutcome> &ports)
 {
     SwitchReport r;
-    r.ports = static_cast<unsigned>(ports.size());
+    static_cast<PortTotals &>(r) = totalPorts(ports);
     for (std::size_t i = 0; i < ports.size(); ++i) {
         const auto &o = ports[i];
-        if (!o.passed)
-            ++r.failedPorts;
-        r.arrivals += o.run.arrivals;
-        r.granted += o.verified;
-        r.drained += o.drained;
-        r.drops += o.run.drops;
-        r.undelivered += o.undelivered;
-        r.dramReads += o.report.dramReads;
-        r.dramWrites += o.report.dramWrites;
-        r.renames += o.report.renames;
-        r.dsaStalls += o.report.dsaStalls;
-
         // Namespaced per-port stats: "port<i>.<stat>".
         const std::string pre =
             "port" + std::to_string(plans[i].port) + ".";
@@ -399,23 +405,61 @@ aggregateReport(const std::vector<PortPlan> &plans,
             .observe(o.report.tailSramHighWater);
         r.stats.highWater(pre + "rr").observe(o.report.rrHighWater);
     }
-
     for (const auto &def : kStatDefs) {
-        std::vector<double> values;
-        values.reserve(ports.size());
         auto &sampler =
             r.stats.sampler(std::string("across_ports.") + def.name);
-        for (const auto &o : ports) {
-            const double v = def.get(o);
-            values.push_back(v);
-            sampler.sample(v);
-        }
-        r.aggregates.emplace_back(def.name, aggregateStat(values));
+        for (const auto &o : ports)
+            sampler.sample(def.get(o));
     }
     return r;
 }
 
 } // namespace
+
+PortTotals
+totalPorts(const std::vector<sim::ScenarioOutcome> &outcomes)
+{
+    PortTotals t;
+    t.ports = static_cast<unsigned>(outcomes.size());
+    for (const auto &o : outcomes) {
+        if (!o.passed)
+            ++t.failed;
+        t.arrivals += o.run.arrivals;
+        t.granted += o.verified;
+        t.drained += o.drained;
+        t.drops += o.run.drops;
+        t.undelivered += o.undelivered;
+        t.dramReads += o.report.dramReads;
+        t.dramWrites += o.report.dramWrites;
+        t.renames += o.report.renames;
+        t.dsaStalls += o.report.dsaStalls;
+    }
+    for (const auto &def : kStatDefs) {
+        std::vector<double> values;
+        values.reserve(outcomes.size());
+        for (const auto &o : outcomes)
+            values.push_back(def.get(o));
+        t.aggregates.emplace_back(def.name, aggregateStat(values));
+    }
+    return t;
+}
+
+std::string
+joinFailures(const std::vector<sim::ScenarioOutcome> &outcomes,
+             const std::vector<unsigned> &ids, const char *noun,
+             const std::string &lead)
+{
+    std::string joined = lead;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].passed)
+            continue;
+        if (!joined.empty())
+            joined += " | ";
+        joined += noun + std::to_string(ids[i]) + ": " +
+                  outcomes[i].failure;
+    }
+    return joined;
+}
 
 SwitchOutcome
 runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
@@ -449,20 +493,16 @@ runPlans(const std::vector<PortPlan> &plans, unsigned jobs)
     sweep::runSweep(tasks, so);
 
     out.report = aggregateReport(plans, out.ports);
-    out.passed = out.report.failedPorts == 0;
-    if (!out.passed) {
-        std::ostringstream os;
-        for (std::size_t i = 0; i < out.ports.size(); ++i) {
-            if (out.ports[i].passed)
-                continue;
-            if (os.tellp() > 0)
-                os << " | ";
-            os << "port" << plans[i].port << ": "
-               << out.ports[i].failure;
-        }
-        out.failure = os.str();
-    }
+    out.passed = out.report.failed == 0;
+    out.failure =
+        joinFailures(out.ports, planIds(plans, &PortPlan::port), "port");
     return out;
+}
+
+SwitchOutcome
+runSwitch(const SwitchConfig &cfg, unsigned jobs)
+{
+    return runPlans(planPorts(cfg), jobs);
 }
 
 sweep::Record
@@ -484,6 +524,44 @@ portRecord(const PortPlan &plan, const sim::ScenarioOutcome &out)
     return rec;
 }
 
+void
+setRunTotals(sweep::Record &rec, const PortSetConfig &cfg, bool passed,
+             const char *failed_key, const PortTotals &t)
+{
+    rec.set("B", cfg.granRads)
+        .set("b", cfg.gran)
+        .set("groups", cfg.groups)
+        .set("load", cfg.load)
+        .set("slots", cfg.slots)
+        .set("master_seed", cfg.masterSeed)
+        .set("passed", passed)
+        .set(failed_key, t.failed)
+        .set("arrivals", t.arrivals)
+        .set("granted", t.granted)
+        .set("drained", t.drained)
+        .set("drops", t.drops)
+        .set("undelivered", t.undelivered)
+        .set("dram_reads", t.dramReads)
+        .set("dram_writes", t.dramWrites)
+        .set("renames", t.renames);
+}
+
+void
+setSpread(sweep::Record &rec, const PortTotals &totals,
+          std::initializer_list<const char *> names)
+{
+    for (const char *name : names) {
+        const PortStatAgg *a = totals.agg(name);
+        panic_if(!a, "port totals: missing aggregate for ", name);
+        const std::string n = name;
+        rec.set(n + "_min", a->min)
+            .set(n + "_max", a->max)
+            .set(n + "_mean", a->mean)
+            .set(n + "_p50", a->p50)
+            .set(n + "_p99", a->p99);
+    }
+}
+
 sweep::Record
 switchRecord(const SwitchConfig &cfg, const SwitchOutcome &out)
 {
@@ -495,45 +573,25 @@ switchRecord(const SwitchConfig &cfg, const SwitchOutcome &out)
         .set("variant", cfg.mixedVariants
                             ? std::string("mixed")
                             : sim::toString(cfg.variant))
-        .set("queues", cfg.queues)
-        .set("B", cfg.granRads)
-        .set("b", cfg.gran)
-        .set("groups", cfg.groups)
-        .set("load", cfg.load)
-        .set("slots", cfg.slots)
-        .set("master_seed", cfg.masterSeed)
-        .set("passed", out.passed)
-        .set("failed_ports", r.failedPorts)
-        .set("arrivals", r.arrivals)
-        .set("granted", r.granted)
-        .set("drained", r.drained)
-        .set("drops", r.drops)
-        .set("undelivered", r.undelivered)
-        .set("dram_reads", r.dramReads)
-        .set("dram_writes", r.dramWrites)
-        .set("renames", r.renames)
-        .set("dsa_stalls", r.dsaStalls);
+        .set("queues", cfg.queues);
+    setRunTotals(rec, cfg, out.passed, "failed_ports", r);
+    rec.set("dsa_stalls", r.dsaStalls);
     // Full across-port spread for the headline stats.
-    for (const char *name :
-         {"granted", "drops", "mean_delay_slots", "max_delay_slots",
-          "head_sram_hw", "rr_hw", "dsa_stalls"}) {
-        const PortStatAgg *a = r.agg(name);
-        panic_if(!a, "switch report: missing aggregate for ", name);
-        const std::string n = name;
-        rec.set(n + "_min", a->min)
-            .set(n + "_max", a->max)
-            .set(n + "_mean", a->mean)
-            .set(n + "_p50", a->p50)
-            .set(n + "_p99", a->p99);
-    }
+    setSpread(rec, r,
+              {"granted", "drops", "mean_delay_slots", "max_delay_slots",
+               "head_sram_hw", "rr_hw", "dsa_stalls"});
     return rec;
 }
 
 void
-emitSwitchArtifacts(const SwitchConfig &cfg, const SwitchOutcome &out,
-                    const std::string &tool, sweep::Record extra_meta,
-                    const std::string &json_path,
-                    const std::string &csv_path)
+emitPortArtifacts(const std::vector<sim::ScenarioOutcome> &outcomes,
+                  const std::vector<unsigned> &ids, const char *noun,
+                  const std::vector<sweep::Record> &rows,
+                  const sweep::Record &aggregate, bool passed,
+                  const std::string &failure,
+                  const sweep::EmitMeta &meta,
+                  const std::string &json_path,
+                  const std::string &csv_path)
 {
     if (json_path.empty() && csv_path.empty())
         return;
@@ -542,37 +600,46 @@ emitSwitchArtifacts(const SwitchConfig &cfg, const SwitchOutcome &out,
     // label the rows.
     std::vector<sweep::Task> tasks;
     sweep::SweepReport rep;
-    for (std::size_t i = 0; i < out.plans.size(); ++i) {
-        tasks.push_back(sweep::Task{
-            "port" + std::to_string(out.plans[i].port), {}});
+    const auto add = [&](std::string label, const sweep::Record &row,
+                         bool ok, const std::string &error) {
+        tasks.push_back(sweep::Task{std::move(label), {}});
         sweep::TaskResult tr;
-        tr.records.push_back(portRecord(out.plans[i], out.ports[i]));
-        tr.ok = out.ports[i].passed;
-        if (!tr.ok) {
-            tr.error = out.ports[i].failure;
+        tr.records.push_back(row);
+        tr.ok = ok;
+        // Keep the schema invariant: "failed" counts exactly the
+        // rows that carry ok=false, the aggregate row included.
+        if (!ok) {
+            tr.error = error;
             ++rep.failed;
         }
         rep.results.push_back(std::move(tr));
+    };
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        add(noun + std::to_string(ids[i]), rows[i], outcomes[i].passed,
+            outcomes[i].failure);
     }
-    tasks.push_back(sweep::Task{"aggregate", {}});
-    sweep::TaskResult agg;
-    agg.records.push_back(switchRecord(cfg, out));
-    agg.ok = out.passed;
-    if (!out.passed) {
-        agg.error = out.failure;
-        // Keep the schema invariant: "failed" counts exactly the
-        // rows that carry ok=false, and the aggregate row is one.
-        ++rep.failed;
-    }
-    rep.results.push_back(std::move(agg));
+    add("aggregate", aggregate, passed, failure);
+    sweep::emitArtifacts(rep, tasks, meta, json_path, csv_path);
+}
 
+void
+emitSwitchArtifacts(const SwitchConfig &cfg, const SwitchOutcome &out,
+                    const std::string &tool, sweep::Record extra_meta,
+                    const std::string &json_path,
+                    const std::string &csv_path)
+{
+    std::vector<sweep::Record> rows;
+    for (std::size_t i = 0; i < out.plans.size(); ++i)
+        rows.push_back(portRecord(out.plans[i], out.ports[i]));
     extra_meta.set("switch", cfg.name())
         .set("pattern", sw::toString(cfg.pattern))
         .set("ports", cfg.ports)
         .set("master_seed", cfg.masterSeed);
-    sweep::emitArtifacts(rep, tasks,
-                         sweep::EmitMeta{tool, std::move(extra_meta)},
-                         json_path, csv_path);
+    emitPortArtifacts(out.ports, planIds(out.plans, &PortPlan::port),
+                      "port", rows, switchRecord(cfg, out), out.passed,
+                      out.failure,
+                      sweep::EmitMeta{tool, std::move(extra_meta)},
+                      json_path, csv_path);
 }
 
 } // namespace pktbuf::sw

@@ -27,6 +27,7 @@
 #define PKTBUF_SWITCH_SWITCH_SIM_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,37 +35,34 @@
 
 #include "common/stats.hh"
 #include "sim/scenario.hh"
+#include "sweep/emit.hh"
 #include "sweep/record.hh"
 #include "switch/traffic.hh"
 
 namespace pktbuf::sw
 {
 
-/** Static configuration of a whole switch run. */
-struct SwitchConfig
+/**
+ * The knobs every multi-port layer shares: `ports` hybrid buffers,
+ * each a scenario leg seeded with deriveSeed(masterSeed, port), under
+ * one cross-port traffic pattern.  The switch (independent ports) and
+ * the crossbar (ports coupled by a matching, crossbar/) derive their
+ * configurations from it and differ only in how ports are coupled.
+ */
+struct PortSetConfig
 {
-    /** Number of ports (independent buffer instances). */
+    /** Number of ports (buffer instances). */
     unsigned ports = 4;
 
     TrafficPattern pattern = TrafficPattern::Uniform;
 
-    /** Buffer architecture of every port... */
+    /** Buffer architecture of every port. */
     sim::BufferVariant variant = sim::BufferVariant::Cfds;
-    /** ...unless mixed: port p cycles CFDS / RADS / CFDS+renaming. */
-    bool mixedVariants = false;
-
-    /** Per-port leg shape (same meaning as sim::Scenario). */
-    unsigned queues = 8;
     unsigned granRads = 8;  //!< B
     unsigned gran = 2;      //!< b (forced to B on RADS ports)
     unsigned groups = 4;    //!< G (forced to 1 on RADS ports)
 
-    /**
-     * Mean offered load per port; the switch's aggregate offered
-     * load is ports * load, which the pattern redistributes (hot
-     * ports above `load`, cold ports below).  Resolved per-port
-     * loads are clamped to kMaxPortLoad.
-     */
+    /** Mean offered load per port, in (0, kMaxLoad]. */
     double load = 0.45;
 
     std::uint64_t slots = 20000;
@@ -72,15 +70,67 @@ struct SwitchConfig
     /** Every port's seed is deriveSeed(masterSeed, port). */
     std::uint64_t masterSeed = 1;
 
-    /** Hotspot: hot port count; 0 = max(1, ports/4). */
-    unsigned hotPorts = 0;
+    /** Hotspot: hot port (switch) or hot output (crossbar) count;
+     *  0 = max(1, ports/4). */
+    unsigned hotCount = 0;
     /** Hotspot/incast: fraction of total arrivals on the hot side. */
     double hotFraction = 0.5;
 
-    /** Incast: the victim port index (must be < ports). */
+    /** Incast: the victim index (must be < ports). */
     unsigned incastVictim = 0;
-    /** Incast: mean burst length on the victim port. */
+    /** Incast: mean burst length toward the victim. */
     std::uint64_t incastBurst = 64;
+
+    /** Hard cap on any port's offered load. */
+    static constexpr double kMaxLoad = 0.9;
+
+    /**
+     * Hard cap on a load concentrated on one VOQ (a bursty incast
+     * victim, a permutation input).  Its bank group sustains only 1
+     * access per b slots shared between reads and writes --
+     * concentrated loads above ~0.5 violate the Eq. (1) RR sizing
+     * assumptions (DESIGN.md's concentration argument; the renaming
+     * property tests run their bursts at the same 0.45 for the same
+     * reason).
+     */
+    static constexpr double kMaxConcentratedLoad = 0.45;
+};
+
+/**
+ * fatal() on knobs no port set can run: zero ports, a load outside
+ * (0, kMaxLoad], an incast victim out of range, or a hotspot/incast
+ * fraction outside (0, 1) (it would starve one side of the split).
+ * `layer`, `victim` and `fraction` open the respective messages.
+ */
+void validatePortSet(const PortSetConfig &cfg, const char *layer,
+                     const char *victim, const char *fraction);
+
+/** The hotspot's hot count: hotCount, or max(1, ports/4) when 0,
+ *  never more than ports. */
+unsigned resolvedHotCount(const PortSetConfig &cfg);
+
+/**
+ * The scenario leg of port `index`: `variant` over `queues` logical
+ * queues with the set's B, b and G (RADS forces b = B and G = 1),
+ * Bernoulli workload, slot budget and seed deriveSeed(masterSeed,
+ * index).  A renaming leg gets `phys` physical queues and a DRAM of
+ * phys * B cells, tight enough that renaming chains actually form.
+ * Load, workload tag and timing are the caller's.
+ */
+sim::Scenario shapeLeg(const PortSetConfig &cfg,
+                       sim::BufferVariant variant, unsigned index,
+                       unsigned queues, unsigned phys);
+
+/** Static configuration of a whole switch run. */
+struct SwitchConfig : PortSetConfig
+{
+    /** Port p cycles CFDS / RADS / CFDS+renaming instead of
+     *  `variant`. */
+    bool mixedVariants = false;
+
+    /** VOQs per port (a renaming port keeps these as physical
+     *  queues and runs half as many logical ones). */
+    unsigned queues = 8;
 
     /**
      * DDR timing applied to CFDS ports (non-uniform timing requires
@@ -89,20 +139,6 @@ struct SwitchConfig
      * opportunities: pick `load` the line can still sustain.
      */
     dram::TimingConfig timing;
-
-    /** Hard cap on any resolved per-port load. */
-    static constexpr double kMaxPortLoad = 0.9;
-
-    /**
-     * Hard cap on a *bursty* port's load (the incast victim).  A
-     * burst concentrates the port's whole arrival rate on one VOQ,
-     * whose bank group sustains only 1 access per b slots shared
-     * between reads and writes -- concentrated loads above ~0.5
-     * violate the Eq. (1) RR sizing assumptions (DESIGN.md's
-     * concentration argument; the renaming property tests run their
-     * bursts at the same 0.45 for the same reason).
-     */
-    static constexpr double kMaxBurstyLoad = 0.45;
 
     /** Unique, file/test-name-safe identifier of the run. */
     std::string name() const;
@@ -137,12 +173,14 @@ struct PortPlan
 
 /**
  * Resolve a switch configuration into one plan per port: derive the
- * per-port seed, redistribute the aggregate load according to the
- * pattern, assign variants (fixed or cycled) and, for the
- * permutation pattern, build the seeded port -> queue-stripe map.
+ * per-port seed, redistribute the aggregate load (ports * load)
+ * according to the pattern -- hot ports above `load`, cold ports
+ * below, each clamped to kMaxLoad -- assign variants (fixed or
+ * cycled) and, for the permutation pattern, build the seeded port ->
+ * queue-stripe map.
  *
  * @param cfg the switch configuration; fatal() on impossible knobs
- *            (zero ports, incast victim out of range)
+ *            (validatePortSet(), zero queues)
  * @return plans in port order
  */
 std::vector<PortPlan> planPorts(const SwitchConfig &cfg);
@@ -185,11 +223,15 @@ struct PortStatAgg
  */
 PortStatAgg aggregateStat(const std::vector<double> &per_port);
 
-/** Switch-level aggregation of the per-port reports. */
-struct SwitchReport
+/**
+ * Sums, failure count and per-stat spread of a port set's outcomes:
+ * what the switch and crossbar reports have in common.
+ */
+struct PortTotals
 {
     unsigned ports = 0;
-    std::size_t failedPorts = 0;
+    /** Ports whose outcome did not pass. */
+    std::size_t failed = 0;
 
     /** Straight sums over ports. */
     std::uint64_t arrivals = 0;
@@ -209,6 +251,29 @@ struct SwitchReport
      */
     std::vector<std::pair<std::string, PortStatAgg>> aggregates;
 
+    /** The named aggregate, or nullptr when absent. */
+    const PortStatAgg *agg(const std::string &name) const;
+};
+
+/** Total a port set's outcomes (in the given, port, order). */
+PortTotals totalPorts(const std::vector<sim::ScenarioOutcome> &outcomes);
+
+/** Each plan's port index, read through `id` (PortPlan::port,
+ *  xbar::InputPlan::input), in plan order. */
+template <class Plan>
+std::vector<unsigned>
+planIds(const std::vector<Plan> &plans, unsigned Plan::*id)
+{
+    std::vector<unsigned> ids;
+    ids.reserve(plans.size());
+    for (const auto &plan : plans)
+        ids.push_back(plan.*id);
+    return ids;
+}
+
+/** Switch-level aggregation of the per-port reports. */
+struct SwitchReport : PortTotals
+{
     /**
      * Every port's counters and high-water marks, namespaced
      * "port<i>.<stat>" ("port3.granted", "port0.head_sram.max"),
@@ -216,9 +281,6 @@ struct SwitchReport
      * component registry.
      */
     StatRegistry stats;
-
-    /** The named aggregate, or nullptr when absent. */
-    const PortStatAgg *agg(const std::string &name) const;
 };
 
 /** Outcome of a whole switch run. */
@@ -245,31 +307,10 @@ struct SwitchOutcome
 SwitchOutcome runPlans(const std::vector<PortPlan> &plans,
                        unsigned jobs);
 
-/**
- * The switch simulator: resolves the configuration into port plans
- * once, then runs them on demand.
- */
-class SwitchSim
-{
-  public:
-    explicit SwitchSim(const SwitchConfig &cfg)
-        : cfg_(cfg), plans_(planPorts(cfg))
-    {}
-
-    const SwitchConfig &config() const { return cfg_; }
-    const std::vector<PortPlan> &plans() const { return plans_; }
-
-    /** Run all ports (golden-checked, drained); see runPlans(). */
-    SwitchOutcome
-    run(unsigned jobs = 1) const
-    {
-        return runPlans(plans_, jobs);
-    }
-
-  private:
-    SwitchConfig cfg_;
-    std::vector<PortPlan> plans_;
-};
+/** Plan and run a whole switch (golden-checked, drained): the
+ *  counterpart of xbar::runCrossbar.  fatal() on impossible knobs,
+ *  like planPorts(). */
+SwitchOutcome runSwitch(const SwitchConfig &cfg, unsigned jobs = 1);
 
 /**
  * One result row per port: the scenario record of the port's leg
@@ -287,10 +328,51 @@ sweep::Record switchRecord(const SwitchConfig &cfg,
                            const SwitchOutcome &out);
 
 /**
- * Emit the sweep-schema JSON/CSV artifacts of a finished run: one
- * row per port (in port order) plus one final "aggregate" row.
- * Purely a function of the outcome, hence byte-identical for any
- * --jobs value.  Paths: empty = skip, "-" = stdout.
+ * The aggregate-row fields both layers share, in emission order: the
+ * leg knobs (B, b, groups, load, slots, master_seed), "passed", the
+ * failed-port count under `failed_key`, and the sums "arrivals"
+ * through "renames".
+ */
+void setRunTotals(sweep::Record &rec, const PortSetConfig &cfg,
+                  bool passed, const char *failed_key,
+                  const PortTotals &totals);
+
+/**
+ * Set "<stat>_min/_max/_mean/_p50/_p99" on `rec` for each named
+ * aggregate of `totals`, in the order given.
+ */
+void setSpread(sweep::Record &rec, const PortTotals &totals,
+               std::initializer_list<const char *> names);
+
+/**
+ * "<noun><id>: <failure>" for every failed outcome, joined by " | "
+ * after `lead` (a non-empty lead is separated by " | " too).
+ */
+std::string joinFailures(const std::vector<sim::ScenarioOutcome> &outcomes,
+                         const std::vector<unsigned> &ids,
+                         const char *noun, const std::string &lead = "");
+
+/**
+ * Emit the sweep-schema JSON/CSV artifacts of a finished port-set
+ * run: rows[i] as task "<noun><ids[i]>" with outcomes[i]'s status,
+ * then one final "aggregate" row with the run's.  "failed" counts
+ * exactly the rows that carry ok=false, the aggregate row included.
+ * Paths: empty = skip, "-" = stdout.
+ */
+void emitPortArtifacts(const std::vector<sim::ScenarioOutcome> &outcomes,
+                       const std::vector<unsigned> &ids,
+                       const char *noun,
+                       const std::vector<sweep::Record> &rows,
+                       const sweep::Record &aggregate, bool passed,
+                       const std::string &failure,
+                       const sweep::EmitMeta &meta,
+                       const std::string &json_path,
+                       const std::string &csv_path);
+
+/**
+ * The switch's artifacts: one row per port (in port order) plus the
+ * aggregate row.  Purely a function of the outcome, hence
+ * byte-identical for any --jobs value.
  */
 void emitSwitchArtifacts(const SwitchConfig &cfg,
                          const SwitchOutcome &out,

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -261,6 +262,30 @@ TEST(CrossbarPlan, ImpossibleKnobsAreFatal)
     EXPECT_THROW(planCrossbar(cfg), FatalError);
 }
 
+TEST(CrossbarPlan, LoadAboveThePerInputCapIsFatal)
+{
+    // A load above the cap is fatal: clamping it would run one load
+    // while the aggregate row echoes another.  The never-throwing
+    // runner reports it as a failed outcome.
+    CrossbarConfig cfg = baseConfig(4, sw::TrafficPattern::Uniform);
+    cfg.load = 0.95;
+    EXPECT_THROW(planCrossbar(cfg), FatalError);
+    const auto out = runCrossbar(cfg);
+    EXPECT_FALSE(out.passed);
+    EXPECT_EQ(out.failure.rfind("exception: ", 0), 0u) << out.failure;
+    EXPECT_NE(out.failure.find("crossbar load 0.95 exceeds"),
+              std::string::npos)
+        << out.failure;
+    EXPECT_NE(out.failure.find("[" + cfg.describe() + "]"),
+              std::string::npos)
+        << out.failure;
+    cfg.load = CrossbarConfig::kMaxLoad;
+    const auto plans = planCrossbar(cfg);
+    ASSERT_EQ(plans.size(), 4u);
+    for (const auto &p : plans)
+        EXPECT_DOUBLE_EQ(p.scenario.load, CrossbarConfig::kMaxLoad);
+}
+
 TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
 {
     // Permutation concentrates each input's whole rate on one VOQ,
@@ -272,7 +297,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
     ASSERT_EQ(plans.size(), 8u);
     for (const auto &p : plans) {
         EXPECT_DOUBLE_EQ(p.scenario.load,
-                         CrossbarConfig::kMaxVoqLoad);
+                         CrossbarConfig::kMaxConcentratedLoad);
         EXPECT_EQ(p.dest.permTarget, (p.input + 1) % 8);
         EXPECT_EQ(p.scenario.seed,
                   sweep::deriveSeed(cfg.masterSeed, p.input));
@@ -283,7 +308,7 @@ TEST(CrossbarPlan, LoadsResolveWithinAdmissibleCaps)
     cfg.load = 0.9;
     plans = planCrossbar(cfg);
     EXPECT_DOUBLE_EQ(plans[0].scenario.load,
-                     CrossbarConfig::kMaxVoqLoad);
+                     CrossbarConfig::kMaxConcentratedLoad);
 
     // Hotspot: the hot side's fraction is clamped so no hot output
     // sees more than kMaxSkewedOutputLoad in aggregate.
@@ -500,6 +525,32 @@ TEST(CrossbarCheckpoint, ForeignOrCorruptEnvelopesAreFatal)
     EXPECT_EQ(e.executed(), 400u);
     const auto out = e.finish();
     EXPECT_TRUE(out.passed) << out.failure;
+}
+
+TEST(CrossbarFailure, EngineExceptionFailsTheRunAndNamesTheConfig)
+{
+    // An exception inside the slot loop (here thrown by the test
+    // observer) must not escape finish(): the inputs still complete,
+    // and the failure leads with the exception and ends with the
+    // replayable configuration.
+    CrossbarConfig cfg = baseConfig(3, sw::TrafficPattern::Uniform, 600);
+    CrossbarRun run(cfg);
+    run.onMatch = [](Slot t, const Occupancy &, const Matching &,
+                     unsigned) {
+        if (t >= 100)
+            throw std::runtime_error("observer stop");
+    };
+    const auto out = run.finish();
+    EXPECT_FALSE(out.passed);
+    EXPECT_EQ(out.failure.rfind("exception: observer stop; ", 0), 0u)
+        << out.failure;
+    const std::string tail = " [" + cfg.describe() + "]";
+    ASSERT_GE(out.failure.size(), tail.size());
+    EXPECT_EQ(out.failure.substr(out.failure.size() - tail.size()),
+              tail);
+    EXPECT_EQ(out.report.ports, 3u);
+    EXPECT_EQ(out.report.failed, 0u) << out.failure;
+    EXPECT_EQ(out.report.undelivered, 0u);
 }
 
 TEST(CrossbarFuzz, CrossbarFuzzSmoke)

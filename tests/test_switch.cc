@@ -4,7 +4,8 @@
  * golden equivalence, byte-identical aggregation across thread
  * counts, hotspot/incast traffic shapes, per-port seed independence
  * under port-order permutation, mixed variants with per-port DDR
- * timing, and the aggregation/namespacing helpers.
+ * timing, the aggregation/namespacing helpers, and the port-set core
+ * both multi-port layers share (totals, failure text, artifacts).
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +100,21 @@ TEST(SwitchPlan, ImpossibleKnobsAreFatal)
     EXPECT_THROW(planPorts(cfg), FatalError);
 }
 
+TEST(SwitchPlan, LoadAboveThePerPortCapIsFatal)
+{
+    // A load above the cap is fatal: clamping it would run one load
+    // while the aggregate row echoes another.
+    SwitchConfig cfg = baseConfig(4, TrafficPattern::Uniform);
+    cfg.load = 0.95;
+    EXPECT_THROW(planPorts(cfg), FatalError);
+    EXPECT_THROW(runSwitch(cfg), FatalError);
+    cfg.load = SwitchConfig::kMaxLoad;
+    const auto plans = planPorts(cfg);
+    ASSERT_EQ(plans.size(), 4u);
+    for (const auto &plan : plans)
+        EXPECT_DOUBLE_EQ(plan.scenario.load, SwitchConfig::kMaxLoad);
+}
+
 TEST(SwitchEquivalence, OnePortUniformReproducesSingleBufferLeg)
 {
     // The load-bearing invariant: a 1-port uniform switch *is* the
@@ -107,8 +123,7 @@ TEST(SwitchEquivalence, OnePortUniformReproducesSingleBufferLeg)
     // so the serialized records must agree byte for byte.
     SwitchConfig cfg = baseConfig(1, TrafficPattern::Uniform, 4000);
     cfg.masterSeed = 23;
-    const SwitchSim sim(cfg);
-    const auto out = sim.run(/*jobs=*/1);
+    const auto out = runSwitch(cfg, /*jobs=*/1);
     ASSERT_TRUE(out.passed) << out.failure;
     ASSERT_EQ(out.ports.size(), 1u);
 
@@ -143,11 +158,11 @@ TEST(SwitchDeterminism, ByteIdenticalAcrossJobs)
     // aggregate positionally).
     SwitchConfig cfg = baseConfig(8, TrafficPattern::Hotspot, 2500);
     cfg.mixedVariants = true;
-    const SwitchSim sim(cfg);
+    const auto plans = planPorts(cfg);
     std::string json[3];
     const unsigned jobs[3] = {1, 4, 8};
     for (int k = 0; k < 3; ++k) {
-        const auto out = sim.run(jobs[k]);
+        const auto out = runPlans(plans, jobs[k]);
         EXPECT_TRUE(out.passed) << out.failure;
         json[k] = outcomeJson(cfg, out);
     }
@@ -160,13 +175,13 @@ TEST(SwitchDeterminism, ByteIdenticalAcrossJobs)
 TEST(SwitchDeterminism, ArtifactFilesByteIdenticalAcrossJobs)
 {
     SwitchConfig cfg = baseConfig(4, TrafficPattern::Permutation, 2000);
-    const SwitchSim sim(cfg);
+    const auto plans = planPorts(cfg);
     const std::string p1 =
         testing::TempDir() + "/switch_jobs1.json";
     const std::string p4 =
         testing::TempDir() + "/switch_jobs4.json";
-    emitSwitchArtifacts(cfg, sim.run(1), "test", {}, p1, "");
-    emitSwitchArtifacts(cfg, sim.run(4), "test", {}, p4, "");
+    emitSwitchArtifacts(cfg, runPlans(plans, 1), "test", {}, p1, "");
+    emitSwitchArtifacts(cfg, runPlans(plans, 4), "test", {}, p4, "");
     const auto slurp = [](const std::string &path) {
         std::ifstream in(path, std::ios::binary);
         std::ostringstream os;
@@ -305,7 +320,7 @@ TEST(SwitchPatterns, EveryPatternPassesGoldenChecksAtScale)
           TrafficPattern::Incast, TrafficPattern::Permutation}) {
         SwitchConfig cfg = baseConfig(8, pattern, 2000);
         cfg.masterSeed = 77;
-        const auto out = SwitchSim(cfg).run(4);
+        const auto out = runSwitch(cfg, 4);
         EXPECT_TRUE(out.passed)
             << toString(pattern) << ": " << out.failure;
         EXPECT_EQ(out.report.undelivered, 0u) << toString(pattern);
@@ -362,7 +377,7 @@ TEST(SwitchAggregate, StatAggregationMatchesHandComputation)
 TEST(SwitchAggregate, RegistryNamespacesPerPortStats)
 {
     SwitchConfig cfg = baseConfig(3, TrafficPattern::Uniform, 1500);
-    const auto out = SwitchSim(cfg).run(1);
+    const auto out = runSwitch(cfg, 1);
     ASSERT_TRUE(out.passed) << out.failure;
     std::uint64_t sum = 0;
     for (unsigned p = 0; p < cfg.ports; ++p) {
@@ -390,7 +405,7 @@ TEST(SwitchFailure, FailingPortFailsTheSwitchAndNamesItsSeed)
     plans[1].scenario.gran = 64;
     const auto out = runPlans(plans, 2);
     EXPECT_FALSE(out.passed);
-    EXPECT_EQ(out.report.failedPorts, 1u);
+    EXPECT_EQ(out.report.failed, 1u);
     EXPECT_NE(out.failure.find("port1"), std::string::npos)
         << out.failure;
     EXPECT_NE(out.failure.find(
@@ -401,6 +416,133 @@ TEST(SwitchFailure, FailingPortFailsTheSwitchAndNamesItsSeed)
     EXPECT_TRUE(out.ports[0].passed);
     EXPECT_TRUE(out.ports[2].passed);
     EXPECT_GT(out.report.granted, 0u);
+}
+
+// ------------------------------------------------- port-set core
+
+/** A hand-built port outcome with distinct per-port counters. */
+sim::ScenarioOutcome
+handOutcome(std::uint64_t k, bool passed, const std::string &failure)
+{
+    sim::ScenarioOutcome o;
+    o.run.arrivals = 100 * k;
+    o.verified = 90 * k;
+    o.drained = 5 * k;
+    o.run.drops = k;
+    o.undelivered = passed ? 0 : k;
+    o.run.meanDelaySlots = 1.5 * k;
+    o.run.maxDelaySlots = 10.0 * k;
+    o.report.dramReads = 30 * k;
+    o.report.dramWrites = 31 * k;
+    o.report.renames = 2 * k;
+    o.report.headSramHighWater = 7 * k;
+    o.report.tailSramHighWater = 8 * k;
+    o.report.rrHighWater = 3 * k;
+    o.report.dsaStalls = 4 * k;
+    o.passed = passed;
+    o.failure = failure;
+    return o;
+}
+
+std::vector<sim::ScenarioOutcome>
+handOutcomes()
+{
+    return {handOutcome(1, true, ""), handOutcome(2, false, "boom"),
+            handOutcome(3, true, "")};
+}
+
+TEST(PortSetCore, TotalPortsSumsCountsAndOrdersAggregates)
+{
+    const auto t = totalPorts(handOutcomes());
+    EXPECT_EQ(t.ports, 3u);
+    EXPECT_EQ(t.failed, 1u);
+    EXPECT_EQ(t.arrivals, 600u);
+    EXPECT_EQ(t.granted, 540u);
+    EXPECT_EQ(t.drained, 30u);
+    EXPECT_EQ(t.drops, 6u);
+    EXPECT_EQ(t.undelivered, 2u);
+    EXPECT_EQ(t.dramReads, 180u);
+    EXPECT_EQ(t.dramWrites, 186u);
+    EXPECT_EQ(t.renames, 12u);
+    EXPECT_EQ(t.dsaStalls, 24u);
+
+    // The canonical order is the JSON emission order of both layers'
+    // aggregate rows.
+    const std::vector<std::string> order = {
+        "arrivals", "granted", "drained", "drops", "undelivered",
+        "mean_delay_slots", "max_delay_slots", "dram_reads",
+        "dram_writes", "renames", "head_sram_hw", "tail_sram_hw",
+        "rr_hw", "dsa_stalls"};
+    ASSERT_EQ(t.aggregates.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(t.aggregates[i].first, order[i]);
+    const auto *delay = t.agg("mean_delay_slots");
+    ASSERT_NE(delay, nullptr);
+    EXPECT_DOUBLE_EQ(delay->min, 1.5);
+    EXPECT_DOUBLE_EQ(delay->max, 4.5);
+    EXPECT_DOUBLE_EQ(delay->sum, 9.0);
+    EXPECT_EQ(t.agg("no_such_stat"), nullptr);
+
+    sweep::Record rec;
+    setSpread(rec, t, {"rr_hw"});
+    EXPECT_EQ(recordJson(rec),
+              "{\"rr_hw_min\": 3.0, \"rr_hw_max\": 9.0, "
+              "\"rr_hw_mean\": 6.0, \"rr_hw_p50\": 6.0, "
+              "\"rr_hw_p99\": 8.94}");
+}
+
+TEST(PortSetCore, JoinFailuresNamesEachFailedPortAfterTheLead)
+{
+    auto outs = handOutcomes();
+    outs[0].passed = false;
+    outs[0].failure = "first";
+    const std::vector<unsigned> ids = {4, 5, 6};
+    EXPECT_EQ(joinFailures(outs, ids, "port"),
+              "port4: first | port5: boom");
+    // The crossbar's form: an engine exception leads, and the first
+    // failed input is still separated from it by " | ".
+    EXPECT_EQ(joinFailures(outs, ids, "input", "exception: x; "),
+              "exception: x;  | input4: first | input5: boom");
+    // Nothing failed: only the lead remains.
+    outs[0].passed = outs[1].passed = true;
+    EXPECT_EQ(joinFailures(outs, ids, "port"), "");
+    EXPECT_EQ(joinFailures(outs, ids, "input", "exception: y; "),
+              "exception: y; ");
+}
+
+TEST(PortSetCore, EmitCountsTheFailedPortAndTheAggregateRow)
+{
+    const auto outs = handOutcomes();
+    std::vector<sweep::Record> rows(3);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i].set("row", i);
+    sweep::Record aggregate;
+    aggregate.set("row", "aggregate");
+    const std::string path =
+        testing::TempDir() + "/port_set_core.json";
+    emitPortArtifacts(outs, {0, 1, 2}, "port", rows, aggregate,
+                      /*passed=*/false, "port1: boom",
+                      sweep::EmitMeta{"test", {}}, path, "");
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    const std::string json = os.str();
+    // One bad port plus the aggregate row: the schema's "failed"
+    // counts exactly the rows that carry ok=false.
+    EXPECT_NE(json.find("\"failed\": 2,"), std::string::npos) << json;
+    EXPECT_NE(json.find("{\"task\": \"port0\", \"row\": 0}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"task\": \"port1\", \"row\": 1, \"ok\": "
+                        "false, \"error\": \"boom\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("{\"task\": \"aggregate\", \"row\": "
+                        "\"aggregate\", \"ok\": false, \"error\": "
+                        "\"port1: boom\"}"),
+              std::string::npos)
+        << json;
+    std::remove(path.c_str());
 }
 
 } // namespace
