@@ -5,23 +5,6 @@
 namespace pktbuf
 {
 
-namespace
-{
-bool g_verbose = true;
-}
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose = verbose;
-}
-
-bool
-verbose()
-{
-    return g_verbose;
-}
-
 namespace detail
 {
 
@@ -55,8 +38,7 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (g_verbose)
-        std::cerr << "info: " << msg << "\n";
+    std::cerr << "info: " << msg << "\n";
 }
 
 } // namespace detail

@@ -70,10 +70,6 @@ format(const Args &...args)
 
 } // namespace detail
 
-/** Enable/disable inform() output (benchmarks silence it). */
-void setVerbose(bool verbose);
-bool verbose();
-
 template <typename... Args>
 [[noreturn]] void
 panicAt(const char *file, int line, const Args &...args)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Lightweight statistics primitives: scalar counters, min/max/mean
- * trackers, streaming quantiles and a registry that pretty-prints
+ * trackers, a joint streaming-quantile estimator and a registry that
+ * pretty-prints
  * everything a component recorded.  Modeled loosely after gem5's Stats
  * package but deliberately tiny.
  */
@@ -116,81 +117,21 @@ class HighWater
 };
 
 /**
- * Streaming quantile estimator (Jain & Chlamtac's P-squared
- * algorithm): tracks one quantile of an unbounded sample stream in
- * O(1) memory -- five markers whose heights approximate the
- * quantile, refined by parabolic interpolation as samples arrive.
- *
- * Accuracy: *exact* for the first five samples (they are kept sorted
- * verbatim and interpolated at rank p*(n-1)); beyond that the
- * estimate converges to the true quantile with error that shrinks as
- * the sample count grows (empirically well under 1% of the sample
- * range for smooth distributions) -- and, unlike a fixed-width
- * histogram, it is never clamped to a bucket edge, so tail quantiles
- * (p99 at 256+ ports) keep their resolution.  Deterministic: the
- * estimate is a pure function of the sample sequence.
- *
- * The five marker heights are kept non-decreasing by construction
- * (each adjusted height is clamped between its neighbours, per the
- * P² paper), so the estimate always lies within [min, max] of the
- * stream.  Note this guards *one* estimator's internal ordering
- * only: two independent instances tracking different probabilities
- * of the same stream may still cross (p99 < p50) because their
- * marker sets drift independently -- use P2QuantileSet when several
- * quantiles of one stream must be mutually consistent.
- */
-class P2Quantile
-{
-  public:
-    explicit P2Quantile(double prob = 0.5) : prob_(prob) { init(); }
-
-    void sample(double v);
-
-    /** Current quantile estimate (0 before any sample). */
-    double quantile() const;
-
-    std::uint64_t count() const { return count_; }
-    double prob() const { return prob_; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        init();
-    }
-
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
-
-  private:
-    void init();
-
-    double prob_;
-    std::uint64_t count_ = 0;
-    // While count_ < 5: q_[0..count_) holds the sorted samples.
-    // After: the five P² markers (heights q_, positions n_, desired
-    // positions np_, increments dn_).
-    double q_[5] = {};
-    double n_[5] = {};
-    double np_[5] = {};
-    double dn_[5] = {};
-};
-
-/**
  * Joint streaming estimator for several quantiles of one stream: the
  * multi-quantile extension of the P² algorithm.  One shared,
  * always-sorted marker array of 2k+3 heights (a midpoint marker
  * before every target and one after the last) serves all k target
  * probabilities, so the estimates are mutually consistent by
  * construction: quantile(p) is non-decreasing in p, which two
- * independent P2Quantile instances cannot guarantee (their marker
- * sets drift independently and cross on adversarial streams --
+ * independent single-quantile P² estimators cannot guarantee (their
+ * marker sets drift independently and cross on adversarial streams --
  * observed at n == 7 on tri-valued inputs).
  *
  * Exact for the first 2k+3 samples (kept sorted verbatim and
- * interpolated at rank p*(n-1)); the marker approximation beyond,
- * with the same neighbour clamp as P2Quantile.  Deterministic: a
- * pure function of the sample sequence.
+ * interpolated at rank p*(n-1)); beyond that each interior marker is
+ * clamped between its neighbours, so the heights stay sorted and
+ * every estimate lies within [min, max] of the stream.  Deterministic:
+ * a pure function of the sample sequence.
  */
 class P2QuantileSet
 {
@@ -210,16 +151,13 @@ class P2QuantileSet
 
     std::uint64_t count() const { return count_; }
 
-    void save(ser::Writer &w) const;
-    void load(ser::Reader &r);
-
   private:
     std::size_t markers() const { return frac_.size(); }
 
     std::vector<double> probs_;
     /** Marker fractions 0, (0+p1)/2, p1, ..., (pk+1)/2, 1; also the
      *  per-sample desired-position increments (the paper's dn). */
-    std::vector<double> frac_;  // ser: config
+    std::vector<double> frac_;
     std::uint64_t count_ = 0;
     // While count_ < markers(): q_[0..count_) holds the sorted
     // samples.  After: the marker heights q_, positions n_ and
@@ -239,20 +177,6 @@ class StatRegistry
     Counter &counter(const std::string &name) { return counters_[name]; }
     Sampler &sampler(const std::string &name) { return samplers_[name]; }
     HighWater &highWater(const std::string &name) { return waters_[name]; }
-
-    /**
-     * Named streaming quantile (O(1) memory in the sample count).
-     * The probability is fixed at first registration; re-requesting
-     * an existing name returns the existing estimator.
-     */
-    P2Quantile &
-    quantile(const std::string &name, double prob)
-    {
-        auto it = quantiles_.find(name);
-        if (it == quantiles_.end())
-            it = quantiles_.emplace(name, P2Quantile(prob)).first;
-        return it->second;
-    }
 
     void dump(std::ostream &os) const;
 
@@ -276,7 +200,6 @@ class StatRegistry
     std::map<std::string, Counter> counters_;
     std::map<std::string, Sampler> samplers_;
     std::map<std::string, HighWater> waters_;
-    std::map<std::string, P2Quantile> quantiles_;
 };
 
 } // namespace pktbuf

@@ -22,18 +22,6 @@ bitsFor(std::uint64_t values)
 
 } // namespace
 
-std::string
-toString(SramDesign d)
-{
-    switch (d) {
-      case SramDesign::GlobalCam:
-        return "global CAM";
-      case SramDesign::LinkedListTimeMux:
-        return "unified linked list (time-mux)";
-    }
-    panic("unknown SramDesign");
-}
-
 SramImplMetrics
 sizeSramBuffer(SramDesign design, std::uint64_t cells,
                std::uint64_t lists, unsigned queues,

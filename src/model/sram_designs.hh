@@ -21,7 +21,6 @@
 #define PKTBUF_MODEL_SRAM_DESIGNS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 #include "model/cacti_lite.hh"
@@ -36,8 +35,6 @@ enum class SramDesign
     GlobalCam,
     LinkedListTimeMux,
 };
-
-std::string toString(SramDesign d);
 
 /** Metrics of one concrete SRAM buffer implementation. */
 struct SramImplMetrics

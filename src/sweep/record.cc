@@ -117,12 +117,6 @@ Value::asReal(double fallback) const
     return fallback;
 }
 
-bool
-Value::asBool(bool fallback) const
-{
-    return kind_ == Kind::Bool ? bool_ : fallback;
-}
-
 std::string
 Value::json() const
 {

@@ -82,8 +82,6 @@ class Value
     std::uint64_t asUInt(std::uint64_t fallback = 0) const;
     /** The value as a double; `fallback` when not numeric. */
     double asReal(double fallback = 0.0) const;
-    /** The value as a bool; `fallback` when not Bool. */
-    bool asBool(bool fallback = false) const;
 
     /** Serialize as a JSON token (strings quoted and escaped). */
     std::string json() const;

@@ -125,6 +125,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllChecks, AnalyzerFixture,
     ::testing::Values(
         std::make_tuple("pktbuf-seed-discipline", 4),
+        // Same fixture pair and counts (0 clean, 4 violating) as the
+        // Python fallback's self_test() in
+        // tools/lint/check_serialization.py: update both together.
         std::make_tuple("pktbuf-serialization-complete", 4),
         std::make_tuple("pktbuf-stat-key", 5),
         std::make_tuple("pktbuf-enum-switch", 2)),

@@ -7,9 +7,9 @@ finding can be reported as file:line), while ``comment_text()``
 exposes the stripped comments for the allowlist annotations
 (``// ser: derived``, ``// det: allow(...)``).
 
-Each linter ships a ``--self-test`` that injects a violation into a
-temp fixture and asserts detection (and that a clean fixture passes),
-mirroring ``tools/perf_gate.py --self-test``.
+Each linter ships a ``--self-test`` that runs it over violating and
+clean fixtures and asserts detection (and that the clean fixture
+passes), mirroring ``tools/perf_gate.py --self-test``.
 """
 
 from __future__ import annotations
@@ -191,18 +191,24 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
 # ------------------------------------------------------------- self-tests
 
 
-def run_self_test(tool: str, cases: list[tuple[str, bool, int]]) -> int:
-    """Run (description, expect_clean, actual_findings) cases.
+def run_self_test(tool: str,
+                  cases: list[tuple[str, bool | int, int]]) -> int:
+    """Run (description, expect, actual_findings) cases.
 
     ``actual_findings`` is the finding count the linter produced for
-    the fixture; a clean fixture must produce zero, a violating
-    fixture at least one.
+    the fixture.  ``expect`` is True for a clean fixture (zero
+    findings), False for a violating one (at least one), or an int
+    for a pinned exact count.
     """
     failures = 0
-    for desc, expect_clean, count in cases:
-        ok = (count == 0) if expect_clean else (count > 0)
+    for desc, expect, count in cases:
+        if isinstance(expect, bool):
+            ok = (count == 0) if expect else (count > 0)
+            want = "clean" if expect else "detected"
+        else:
+            ok = count == expect
+            want = f"exactly {expect}"
         status = "ok" if ok else "FAIL"
-        want = "clean" if expect_clean else "detected"
         print(f"{tool} --self-test: {desc}: {status} "
               f"({count} finding(s), expected {want})")
         if not ok:
