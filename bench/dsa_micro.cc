@@ -35,7 +35,7 @@ BM_SelectOldestReady(benchmark::State &state)
 {
     const auto entries = static_cast<std::size_t>(state.range(0));
     Rng rng(42);
-    RequestRegister rr(0, true);
+    RequestRegister rr(0);
     for (std::size_t i = 0; i < entries; ++i)
         rr.push(randomRequest(rng, 256));
 
@@ -59,7 +59,7 @@ BM_PushCancel(benchmark::State &state)
 {
     const auto entries = static_cast<std::size_t>(state.range(0));
     Rng rng(7);
-    RequestRegister rr(0, true);
+    RequestRegister rr(0);
     for (std::size_t i = 0; i < entries; ++i)
         rr.push(randomRequest(rng, 256));
     for (auto _ : state) {

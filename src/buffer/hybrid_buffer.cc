@@ -1,6 +1,7 @@
 #include "hybrid_buffer.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -38,22 +39,6 @@ resolveTiming(const BufferConfig &cfg)
     return std::make_shared<const dram::DramTiming>(
         cfg.timing, resolveBanks(cfg), resolveBanksPerGroup(cfg),
         cfg.params.granRads);
-}
-
-/** Per-bank access times for the BankState oracle; empty = uniform
- *  legacy model (exactly the old behavior). */
-std::vector<Slot>
-resolveBankSlots(const BufferConfig &cfg,
-                 const dram::DramTiming &timing)
-{
-    if (cfg.params.isRads() ||
-        (cfg.timing.groupTRc.empty() && cfg.timing.tRc == 0)) {
-        return {};
-    }
-    std::vector<Slot> v(timing.banks());
-    for (unsigned bank = 0; bank < timing.banks(); ++bank)
-        v[bank] = timing.accessSlots(bank);
-    return v;
 }
 
 /**
@@ -126,6 +111,8 @@ resolveLatency(const BufferConfig &cfg)
     // cells B slots later, so grants trail the lookahead exit by a
     // delivery stage.  For RADS that stage is exactly B; for CFDS,
     // Eq. (3) extends it by the worst-case DSS reordering delay.
+    // Either way it is at least B >= 1 slot, so the latency register
+    // always exists.
     if (cfg.params.isRads())
         return cfg.params.granRads;
     return model::latencySlots(cfg.params) + timingLatencySlack(cfg);
@@ -224,21 +211,20 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
       event_skip_(cfg.mma == MmaKind::Ecqf),
       phys_queues_(cfg.params.queues),
       gran_(cfg.params.gran),
-      gran_rads_(cfg.params.granRads),
       map_(resolveBanks(cfg), resolveBanksPerGroup(cfg)),
       timing_(resolveTiming(cfg)),
-      banks_(rads_ ? 2 : cfg.params.banks, cfg.params.granRads,
-             resolveBankSlots(cfg, *timing_)),
+      banks_(rads_ ? 2 : cfg.params.banks, timing_),
       dram_(phys_queues_, gran_, map_.groups(),
             resolveGroupCapacity(cfg, map_.groups())),
       tail_(phys_queues_, resolveTailCells(cfg), gran_),
       head_(phys_queues_, resolveHeadCells(cfg, resolveLookahead(cfg)),
             gran_),
       hmma_(phys_queues_),
-      mdqf_(phys_queues_),
       tmma_(phys_queues_),
       look_(resolveLookahead(cfg), PipeEntry{}),
+      latency_(resolveLatency(cfg), PipeEntry{}),
       orr_(timing_),
+      sched_(resolveRrCapacity(cfg), orr_),
       rt_(nullptr),
       next_read_issue_(phys_queues_, 0),
       next_write_issue_(phys_queues_, 0),
@@ -258,17 +244,7 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
     fatal_if(cfg_.renaming && cfg_.dramCells == 0,
              "renaming is pointless with unbounded DRAM; set dramCells");
 
-    const auto lat = resolveLatency(cfg_);
-    if (lat > 0) {
-        latency_ = std::make_unique<ShiftRegister<PipeEntry>>(
-            lat, PipeEntry{});
-    }
-
     completions_.reserve(banks_.banks());
-
-    const auto rr_cap = resolveRrCapacity(cfg_);
-    sched_ = std::make_unique<dss::DramScheduler>(rr_cap, orr_, true,
-                                                  &stats_);
 
     // Arm the t-SRAM eligibility bitmap at the tail-MMA threshold:
     // the tail MMA's round-robin pick scans it (O(1) maintenance per
@@ -343,9 +319,6 @@ HybridBuffer::processCompletions(Slot now)
             completions_[kept++] = c;
             continue;
         }
-        if (trace)
-            *trace << "t" << now << " complete read q" << c.phys
-                   << " seq " << c.replenishSeq << "\n";
         const auto cells = read_slab_.data(c.chunk);
         std::ranges::copy(
             cells,
@@ -369,9 +342,6 @@ HybridBuffer::headMmaDecide(Slot now)
     bool dram_issued = false;
     if (cfg_.mma == MmaKind::Ecqf) {
         const auto on_critical = [&](QueueId p) -> unsigned {
-            if (trace)
-                *trace << "t" << now << " hmma select q" << p
-                       << "\n";
             if (dram_.hasBlock(p, next_read_issue_[p])) {
                 if (dram_issued)
                     return 0;
@@ -390,12 +360,10 @@ HybridBuffer::headMmaDecide(Slot now)
     }
     const unsigned iter_bound = 4 * phys_queues_ + 4;
     for (unsigned iter = 0; iter < iter_bound; ++iter) {
-        const QueueId p = mdqf_.select(
-            gran_, [this](QueueId q) { return replenishable(q); });
+        const QueueId p = mma::MdqfMma::select(
+            hmma_, gran_, [this](QueueId q) { return replenishable(q); });
         if (p == kInvalidQueue)
             break;
-        if (trace)
-            *trace << "t" << now << " hmma select q" << p << "\n";
         if (dram_.hasBlock(p, next_read_issue_[p])) {
             if (dram_issued)
                 break;
@@ -413,9 +381,6 @@ HybridBuffer::issueReplenish(QueueId p, Slot now)
     const std::uint64_t ord = next_read_issue_[p];
     panic_if(!dram_.hasBlock(p, ord), "issueReplenish without block");
     ++next_read_issue_[p];
-    if (trace)
-        *trace << "t" << now << " issue read q" << p << " ord " << ord
-               << " seq " << replenish_seq_[p] << "\n";
     dss::DramRequest req;
     req.kind = dss::DramRequest::Kind::Read;
     req.physQueue = p;
@@ -424,11 +389,10 @@ HybridBuffer::issueReplenish(QueueId p, Slot now)
     req.replenishSeq = replenish_seq_[p]++;
     req.issued = now;
     hmma_.onReplenishIssued(p, gran_);
-    mdqf_.onReplenishIssued(p, gran_);
     if (rads_)
         launchRead(req, now);
     else
-        sched_->push(req);
+        sched_.push(req);
 }
 
 unsigned
@@ -439,7 +403,7 @@ HybridBuffer::bypassReplenish(QueueId p)
     // head.  (Launched writes are already readable, so this loop
     // only runs when the whole DRAM tail of the queue is pending.)
     while (pending_unlaunched_writes_[p] > 0) {
-        auto squashed = sched_->rr().cancel(
+        auto squashed = sched_.rr().cancel(
             [&](const dss::DramRequest &r) {
                 return r.kind == dss::DramRequest::Kind::Write &&
                        r.physQueue == p;
@@ -460,11 +424,7 @@ HybridBuffer::bypassReplenish(QueueId p)
     panic_if(committed_[g] < n,
              "bypass replenish: committed accounting underflow");
     committed_[g] -= n;
-    if (trace)
-        *trace << " bypass q" << p << " n " << n << " seq " << seq
-               << "\n";
     hmma_.onReplenishIssued(p, static_cast<unsigned>(n));
-    mdqf_.onReplenishIssued(p, static_cast<unsigned>(n));
     bypass_cells_.inc(n);
     return static_cast<unsigned>(n);
 }
@@ -487,13 +447,10 @@ HybridBuffer::tailMmaDecide(Slot now)
     req.blockOrdinal = next_write_issue_[p]++;
     req.bank = rads_ ? 1 : map_.bankOf(p, req.blockOrdinal);
     req.issued = now;
-    if (trace)
-        *trace << "t" << now << " tmma claim q" << p << " ord "
-               << req.blockOrdinal << "\n";
     if (rads_) {
         launchWrite(req, now);
     } else {
-        sched_->push(req);
+        sched_.push(req);
         ++pending_unlaunched_writes_[p];
     }
 }
@@ -505,7 +462,7 @@ HybridBuffer::dssTick(Slot now)
     // begin per granularity interval (one interval's worth of reads
     // plus writes), drawn oldest-ready-first from the combined RR.
     for (int opportunity = 0; opportunity < 2; ++opportunity) {
-        const auto req = sched_->tryLaunch(now);
+        const auto req = sched_.tryLaunch(now);
         if (!req)
             break;
         if (req->kind == dss::DramRequest::Kind::Read)
@@ -518,7 +475,9 @@ HybridBuffer::dssTick(Slot now)
 void
 HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
 {
-    banks_.startAccess(req.bank, now);
+    // The data arrives when the bank's row cycle ends: B slots for
+    // the uniform model, the group's t_RC for slow bank groups.
+    const Slot done = banks_.startAccess(req.bank, now);
     const unsigned g = groupOf(req.physQueue);
     const auto chunk = read_slab_.alloc();
     dram_.readBlock(req.physQueue, req.blockOrdinal, g,
@@ -526,14 +485,6 @@ HybridBuffer::launchRead(const dss::DramRequest &req, Slot now)
     panic_if(committed_[g] < gran_,
              "DRAM read launch: committed accounting underflow");
     committed_[g] -= gran_;
-    // The data arrives when the bank's row cycle ends: B slots for
-    // the uniform model, the group's t_RC for slow bank groups.
-    const Slot done =
-        now + (rads_ ? gran_rads_ : timing_->accessSlots(req.bank));
-    if (trace)
-        *trace << "t" << now << " launch read q" << req.physQueue
-               << " ord " << req.blockOrdinal << " bank " << req.bank
-               << " done@" << done << "\n";
     completions_.push_back(
         Completion{done, req.physQueue, req.replenishSeq, chunk});
     dram_reads_.inc();
@@ -543,10 +494,6 @@ void
 HybridBuffer::launchWrite(const dss::DramRequest &req, Slot now)
 {
     banks_.startAccess(req.bank, now);
-    if (trace)
-        *trace << "t" << now << " launch write q" << req.physQueue
-               << " ord " << req.blockOrdinal << " bank " << req.bank
-               << "\n";
     tail_.extractClaimed(
         req.physQueue, dram_.writeBlock(req.physQueue, req.blockOrdinal,
                                         gran_, groupOf(req.physQueue)));
@@ -592,8 +539,8 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
     // and can legitimately act on such a slot.
     if (event_skip_ && !arrival && request == kInvalidQueue &&
         completions_.empty() && look_.occupancy() == 0 &&
-        (!latency_ || latency_->occupancy() == 0) &&
-        sched_->rr().empty() && tail_.eligibleCount() == 0) {
+        latency_.occupancy() == 0 && sched_.rr().empty() &&
+        tail_.eligibleCount() == 0) {
         ++now_;
         return std::nullopt;
     }
@@ -612,12 +559,9 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
     const PipeEntry after_look = look_.shift(in);
     if (in.phys != kInvalidQueue)
         hmma_.onRequestEntering(in.phys);
-    if (after_look.phys != kInvalidQueue) {
+    if (after_look.phys != kInvalidQueue)
         hmma_.onRequestLeaving(after_look.phys);
-        mdqf_.onRequestLeaving(after_look.phys);
-    }
-    const PipeEntry ready =
-        latency_ ? latency_->shift(after_look) : after_look;
+    const PipeEntry ready = latency_.shift(after_look);
 
     if (now % gran_ == 0) {
         // Launch before issue: "once a request has been chosen it is
@@ -632,9 +576,6 @@ HybridBuffer::step(const std::optional<Cell> &arrival, QueueId request)
 
     std::optional<GrantInfo> grant;
     if (ready.phys != kInvalidQueue) {
-        if (trace)
-            *trace << "t" << now << " grant due q" << ready.phys
-                   << "\n";
         Cell cell = head_.pop(ready.phys);
         grants_.inc();
         if (rt_) {
@@ -677,6 +618,39 @@ savePipeEntry(ser::Writer &w, QueueId phys, QueueId logical)
     w.u32(logical);
 }
 
+/**
+ * The checkpoint's "STRG" section: a stat registry holding the
+ * per-cause DSA stall counts under "dsa.stall.<cause>".  The
+ * scheduler owns the counts; the registry only lends its layout.
+ */
+StatRegistry
+stallRegistry(const dss::DramScheduler &sched)
+{
+    StatRegistry strg;
+    for (const auto c : {dram::StallCause::BankBusy,
+                         dram::StallCause::Refresh,
+                         dram::StallCause::Turnaround}) {
+        strg.counter(std::string("dsa.stall.") + dram::toString(c))
+            .inc(sched.stallsFor(c));
+    }
+    return strg;
+}
+
+/** Read the "STRG" section back; it must say what the scheduler,
+ *  already restored from the "DSAS" section, would write. */
+void
+loadStallRegistry(ser::Reader &r, const dss::DramScheduler &sched)
+{
+    StatRegistry got;
+    got.load(r);
+    ser::Writer got_bytes, want_bytes;
+    got.save(got_bytes);
+    stallRegistry(sched).save(want_bytes);
+    fatal_if(got_bytes.bytes() != want_bytes.bytes(),
+             "checkpoint: STRG section disagrees with the DSAS stall",
+             " counters");
+}
+
 } // namespace
 
 void
@@ -692,14 +666,13 @@ HybridBuffer::save(ser::Writer &w) const
     tail_.save(w);
     head_.save(w);
     hmma_.save(w);
-    mdqf_.save(w);
+    mma::MdqfMma::save(w, hmma_);
     tmma_.save(w);
     look_.save(w, save_pipe);
-    w.b(latency_ != nullptr);
-    if (latency_)
-        latency_->save(w, save_pipe);
+    w.b(true);  // latency register present (always, see latencyDepth)
+    latency_.save(w, save_pipe);
     orr_.save(w);
-    sched_->save(w);
+    sched_.save(w);
     w.b(rt_ != nullptr);
     if (rt_)
         rt_->save(w);
@@ -718,7 +691,7 @@ HybridBuffer::save(ser::Writer &w) const
         for (const auto &cell : cells)
             cell.save(w);
     }
-    stats_.save(w);
+    stallRegistry(sched_).save(w);
     arrivals_.save(w);
     grants_.save(w);
     bypass_cells_.save(w);
@@ -742,7 +715,7 @@ HybridBuffer::load(ser::Reader &r)
     tail_.load(r);
     head_.load(r);
     hmma_.load(r);
-    mdqf_.load(r);
+    mma::MdqfMma::load(r, hmma_);
     tmma_.load(r);
     look_.load(r, load_pipe);
     // Rebuild the ECQF event calendar from the restored lookahead
@@ -753,13 +726,11 @@ HybridBuffer::load(ser::Reader &r)
         if (e.phys != kInvalidQueue)
             hmma_.onRequestEntering(e.phys);
     });
-    const bool has_latency = r.b();
-    fatal_if(has_latency != (latency_ != nullptr),
-             "checkpoint: latency register presence mismatch");
-    if (latency_)
-        latency_->load(r, load_pipe);
+    fatal_if(!r.b(), "checkpoint: latency register flag is false; every",
+             " configuration has a latency register");
+    latency_.load(r, load_pipe);
     orr_.load(r);
-    sched_->load(r);
+    sched_.load(r);
     const bool has_rt = r.b();
     fatal_if(has_rt != (rt_ != nullptr),
              "checkpoint: renaming table presence mismatch");
@@ -787,7 +758,7 @@ HybridBuffer::load(ser::Reader &r)
             cell.load(r);
         completions_.push_back(c);
     }
-    stats_.load(r);
+    loadStallRegistry(r, sched_);
     arrivals_.load(r);
     grants_.load(r);
     bypass_cells_.load(r);
@@ -807,14 +778,14 @@ HybridBuffer::report() const
     r.dramWrites = dram_writes_.value();
     r.headSramHighWater = head_.highWater();
     r.tailSramHighWater = tail_.highWater();
-    r.rrHighWater = sched_->rr().highWater();
-    r.rrMaxSkips = sched_->rr().maxSkips();
+    r.rrHighWater = sched_.rr().highWater();
+    r.rrMaxSkips = sched_.rr().maxSkips();
     r.orrHighWater = orr_.highWater();
-    r.dsaStalls = sched_->stalls();
-    r.dsaStallsBankBusy = sched_->stallsFor(dram::StallCause::BankBusy);
-    r.dsaStallsRefresh = sched_->stallsFor(dram::StallCause::Refresh);
+    r.dsaStalls = sched_.stalls();
+    r.dsaStallsBankBusy = sched_.stallsFor(dram::StallCause::BankBusy);
+    r.dsaStallsRefresh = sched_.stallsFor(dram::StallCause::Refresh);
     r.dsaStallsTurnaround =
-        sched_->stallsFor(dram::StallCause::Turnaround);
+        sched_.stallsFor(dram::StallCause::Turnaround);
     if (rt_) {
         r.renames = rt_->renames();
         r.renameRecycles = rt_->recycles();

@@ -27,7 +27,6 @@
 #define PKTBUF_BUFFER_HYBRID_BUFFER_HH
 
 #include <memory>
-#include <ostream>
 #include <optional>
 #include <vector>
 
@@ -55,6 +54,10 @@ class HybridBuffer
 {
   public:
     explicit HybridBuffer(const BufferConfig &cfg);
+    /** The scheduler holds a reference to the ORR member: a copy or
+     *  move would leave it pointing into the source. */
+    HybridBuffer(const HybridBuffer &) = delete;
+    HybridBuffer &operator=(const HybridBuffer &) = delete;
 
     /**
      * Advance one time-slot.
@@ -76,11 +79,9 @@ class HybridBuffer
 
     /** Resolved lookahead depth (slots). */
     std::uint64_t lookaheadDepth() const { return look_.depth(); }
-    /** Resolved latency register depth (slots, 0 for RADS). */
-    std::uint64_t latencyDepth() const
-    {
-        return latency_ ? latency_->depth() : 0;
-    }
+    /** Resolved latency register depth (slots): B for RADS, the
+     *  Eq. (3) latency plus the timing slack for CFDS. */
+    std::uint64_t latencyDepth() const { return latency_.depth(); }
     /** End-to-end request-to-grant pipeline depth (slots). */
     std::uint64_t
     pipelineDepth() const
@@ -88,23 +89,12 @@ class HybridBuffer
         return lookaheadDepth() + latencyDepth();
     }
 
-    /**
-     * When set, internal events (MMA selections, issues, bypasses,
-     * launches, completions, grants) are logged one line per event.
-     * Intended for debugging and for the worked-example tests.
-     */
-    std::ostream *trace = nullptr;  // ser: config
-
     /** Introspection hooks for white-box tests. */
-    const dss::DramScheduler &scheduler() const { return *sched_; }
+    const dss::DramScheduler &scheduler() const { return sched_; }
     const dram::DramStore &dramStore() const { return dram_; }
     const sram::HeadSram &headSram() const { return head_; }
     const sram::TailSram &tailSram() const { return tail_; }
     const rename::RenamingTable *renaming() const { return rt_.get(); }
-    /** The resolved DDR timing policy. */
-    const dram::DramTiming &timing() const { return *timing_; }
-    /** Named statistics (per-cause DSA stalls live here). */
-    const StatRegistry &stats() const { return stats_; }
 
     /**
      * Checkpoint the full mutable state (clock, SRAM/DRAM contents,
@@ -173,27 +163,26 @@ class HybridBuffer
      */
     bool event_skip_;  // ser: config
     unsigned phys_queues_;  // ser: config
-    unsigned gran_;       //!< b [ser: config]
-    unsigned gran_rads_;  //!< B (random access time in slots) [ser: config]
+    unsigned gran_;  //!< b [ser: config]
     Slot now_ = 0;
 
     dram::AddressMap map_;  // ser: config
-    /** Shared with the ORR; must be built before banks_ and orr_. */
+    /** Shared by banks_ and the ORR; built before both. */
     std::shared_ptr<const dram::DramTiming> timing_;  // ser: config
     dram::BankState banks_;
     dram::DramStore dram_;
     sram::TailSram tail_;
     sram::HeadSram head_;
+    /** The occupancy counters; MDQF selects over them too. */
     mma::EcqfMma hmma_;
-    mma::MdqfMma mdqf_;
     mma::TailMma tmma_;
 
     ShiftRegister<PipeEntry> look_;
-    std::unique_ptr<ShiftRegister<PipeEntry>> latency_;
+    ShiftRegister<PipeEntry> latency_;
 
     dss::OngoingRequests orr_;
     /** One combined RR for reads and writes, as in Figure 5. */
-    std::unique_ptr<dss::DramScheduler> sched_;
+    dss::DramScheduler sched_;
 
     std::unique_ptr<rename::RenamingTable> rt_;
 
@@ -210,7 +199,6 @@ class HybridBuffer
     /** Cells of the in-flight reads; saved with completions_. */
     BlockSlab read_slab_;
 
-    StatRegistry stats_;
     Counter arrivals_;
     Counter grants_;
     Counter bypass_cells_;

@@ -89,7 +89,6 @@ class BlockSlab
     unsigned chunkCells() const { return chunk_cells_; }
     /** Chunks the pool holds (in use or free). */
     std::size_t chunks() const { return pool_.size() / chunk_cells_; }
-    std::size_t inUse() const { return chunks() - free_.size(); }
 
   private:
     static constexpr std::size_t kMinChunks = 16;

@@ -11,11 +11,13 @@
 #define PKTBUF_DRAM_BANK_STATE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "dram/timing.hh"
 
 namespace pktbuf::dram
 {
@@ -23,43 +25,22 @@ namespace pktbuf::dram
 class BankState
 {
   public:
+    /** Uniform model: every bank is busy `access_slots` per access. */
     BankState(unsigned banks, Slot access_slots)
-        : busy_until_(banks, 0), access_slots_(access_slots)
+        : BankState(banks, std::make_shared<const DramTiming>(
+                               TimingConfig{}, /*banks=*/0,
+                               /*banks_per_group=*/0, access_slots))
+    {}
+
+    /** Bank `i` is busy for the shared policy's t_RC of `i`. */
+    BankState(unsigned banks, std::shared_ptr<const DramTiming> timing)
+        : busy_until_(banks, 0), timing_(std::move(timing))
     {
         panic_if(banks == 0, "no banks");
-        panic_if(access_slots == 0, "zero access time");
-    }
-
-    /**
-     * Heterogeneous variant: bank `i` is busy for `per_bank[i]`
-     * slots per access (per-bank-group t_RC, dram/timing.hh).
-     */
-    BankState(unsigned banks, Slot access_slots,
-              std::vector<Slot> per_bank)
-        : BankState(banks, access_slots)
-    {
-        if (per_bank.empty())
-            return;
-        panic_if(per_bank.size() != banks,
-                 "per-bank access times for ", per_bank.size(),
-                 " of ", banks, " banks");
-        for (const Slot t : per_bank)
-            panic_if(t == 0, "zero per-bank access time");
-        per_bank_slots_ = std::move(per_bank);
+        panic_if(!timing_, "BankState given a null timing policy");
     }
 
     unsigned banks() const { return static_cast<unsigned>(busy_until_.size()); }
-    Slot accessSlots() const { return access_slots_; }
-
-    /** Access time of one bank (uniform unless per-bank given). */
-    Slot
-    accessSlotsOf(unsigned bank) const
-    {
-        panic_if(bank >= busy_until_.size(), "bank ", bank,
-                 " out of range in accessSlotsOf");
-        return per_bank_slots_.empty() ? access_slots_
-                                       : per_bank_slots_[bank];
-    }
 
     /** Is the bank inside its random access time at `now`? */
     bool
@@ -81,7 +62,7 @@ class BankState
         panic_if(busy(bank, now), "bank conflict: bank ", bank,
                  " accessed at slot ", now, " while busy until ",
                  busy_until_[bank]);
-        busy_until_[bank] = now + accessSlotsOf(bank);
+        busy_until_[bank] = now + timing_->accessSlots(bank);
         accesses_.inc();
         return busy_until_[bank];
     }
@@ -99,8 +80,8 @@ class BankState
 
     std::uint64_t accesses() const { return accesses_.value(); }
 
-    /** Checkpoint: busy horizons + access counter (timings are
-     *  configuration and are rebuilt, not serialized). */
+    /** Checkpoint: busy horizons + access counter (the timing
+     *  policy is configuration, rebuilt, not serialized). */
     void
     save(ser::Writer &w) const
     {
@@ -125,9 +106,7 @@ class BankState
 
   private:
     std::vector<Slot> busy_until_;
-    Slot access_slots_;  // ser: config
-    /** Non-empty = heterogeneous per-bank access times. */
-    std::vector<Slot> per_bank_slots_;  // ser: config
+    std::shared_ptr<const DramTiming> timing_;  // ser: config
     Counter accesses_;
 };
 

@@ -137,8 +137,6 @@ class DramStore
         return group_cells_[group];
     }
 
-    std::uint64_t groupCapacity() const { return group_capacity_; }
-
     /** Total cells resident across all groups. */
     std::uint64_t
     totalCells() const

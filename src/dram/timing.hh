@@ -164,7 +164,6 @@ class DramTiming
 
     Slot turnaround() const { return cfg_.turnaround; }
     bool refreshEnabled() const { return cfg_.tRefi != 0; }
-    Slot baseTRc() const { return base_trc_; }
     unsigned banks() const { return banks_; }
     const TimingConfig &config() const { return cfg_; }
 

@@ -1,18 +1,17 @@
 /**
  * @file
- * The DRAM Scheduler Algorithm (DSA) tying one Requests Register to
- * the shared Ongoing Requests Register: every granularity interval
- * it launches the oldest request whose bank is free (Section 5.3).
- * The read path and the write path each own a scheduler; both share
- * one ORR because a bank is locked no matter which direction locked
- * it.
+ * The DRAM Scheduler Algorithm (DSA) over the Requests Register and
+ * the Ongoing Requests Register: every granularity interval it
+ * launches the oldest request whose bank is free (Section 5.3).
+ * Reads and writes share one combined Requests Register (Figure 5)
+ * and one ORR, because a bank is locked no matter which direction
+ * locked it.
  *
  * With a timed DRAM policy (dram/timing.hh) a launch can be refused
  * for three distinct reasons -- bank busy, refresh blackout, or
  * read<->write turnaround -- and the scheduler accounts every failed
  * scheduling opportunity by the cause blocking its oldest pending
- * request, both in its own counters and (when provided) in a shared
- * StatRegistry under "dsa.stall.<cause>".
+ * request (stallsFor).
  */
 
 #ifndef PKTBUF_DSS_DRAM_SCHEDULER_HH
@@ -32,28 +31,12 @@ class DramScheduler
 {
   public:
     /**
-     * @param rr_capacity        Requests Register capacity (0 = off)
-     * @param orr                the shared bank-lock table
-     * @param in_order_per_queue block younger same-queue writes
-     * @param stats              optional registry receiving the
-     *                           per-cause stall counters
+     * @param rr_capacity  Requests Register capacity (0 = off)
+     * @param orr          the shared bank-lock table
      */
-    DramScheduler(std::size_t rr_capacity, OngoingRequests &orr,
-                  bool in_order_per_queue = false,
-                  StatRegistry *stats = nullptr)
-        : rr_(rr_capacity, in_order_per_queue), orr_(orr)
-    {
-        if (stats) {
-            // Registry counters are stable references: resolve the
-            // names once instead of paying a string build + map
-            // lookup on every stalled scheduling opportunity.
-            for (std::size_t c = 0; c < registry_stalls_.size(); ++c) {
-                registry_stalls_[c] = &stats->counter(
-                    std::string("dsa.stall.") +
-                    dram::toString(static_cast<dram::StallCause>(c)));
-            }
-        }
-    }
+    DramScheduler(std::size_t rr_capacity, OngoingRequests &orr)
+        : rr_(rr_capacity), orr_(orr)
+    {}
 
     /** MMA issues a new request. */
     void
@@ -83,7 +66,8 @@ class DramScheduler
         if (!req) {
             stalls_.inc();
             if (oldest_blocked)
-                recordStall(*oldest_blocked);
+                stall_cause_[static_cast<std::size_t>(*oldest_blocked)]
+                    .inc();
             return std::nullopt;
         }
         orr_.add(req->bank, now, accessKind(*req));
@@ -107,9 +91,8 @@ class DramScheduler
     /** Delay from MMA issue to DSA launch, in slots. */
     const Sampler &queueDelay() const { return queue_delay_; }
 
-    /** Checkpoint.  The ORR reference and the pre-resolved registry
-     *  counter pointers are wiring, rebuilt by the constructor; the
-     *  registry counters themselves restore with the registry. */
+    /** Checkpoint.  The ORR reference is wiring, rebuilt by the
+     *  constructor. */
     void
     save(ser::Writer &w) const
     {
@@ -143,24 +126,12 @@ class DramScheduler
                    : dram::AccessKind::Write;
     }
 
-    void
-    recordStall(dram::StallCause cause)
-    {
-        const auto c = static_cast<std::size_t>(cause);
-        stall_cause_[c].inc();
-        if (registry_stalls_[c])
-            registry_stalls_[c]->inc();
-    }
-
     RequestRegister rr_;
     OngoingRequests &orr_;  // ser: config
     Counter launches_;
     Counter stalls_;
     /** Indexed by StallCause. */
     std::array<Counter, 3> stall_cause_;
-    /** Pre-resolved "dsa.stall.<cause>" registry counters (null
-     *  when no registry was given). */
-    std::array<Counter *, 3> registry_stalls_{};  // ser: config
     Sampler queue_delay_;
 };
 

@@ -122,9 +122,6 @@ class OngoingRequests
     }
 
     std::int64_t highWater() const { return high_water_.max(); }
-    /** Uniform/base t_RC (the buffer's B). */
-    Slot accessSlots() const { return timing_->baseTRc(); }
-    const dram::DramTiming &timing() const { return *timing_; }
 
     /** Checkpoint: lock entries and the turnaround horizons.  The
      *  timing policy is configuration (rebuilt, not serialized). */

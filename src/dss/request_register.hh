@@ -27,14 +27,9 @@ namespace pktbuf::dss
 class RequestRegister
 {
   public:
-    /**
-     * @param capacity maximum entries (R); 0 = unbounded.
-     * @param in_order_per_queue block younger entries of a queue
-     *        behind older pending ones (write path).
-     */
-    explicit RequestRegister(std::size_t capacity,
-                             bool in_order_per_queue = false)
-        : capacity_(capacity), in_order_per_queue_(in_order_per_queue)
+    /** @param capacity maximum entries (R); 0 = unbounded. */
+    explicit RequestRegister(std::size_t capacity)
+        : capacity_(capacity)
     {}
 
     /** Insert a new request at the tail (youngest). */
@@ -64,10 +59,10 @@ class RequestRegister
      * @param oldest_blocked  out: the cause blocking the *oldest*
      *                        timing-blocked entry (whose delay
      *                        dominates the latency budget).  A
-     *                        write-after-write ordering hold
-     *                        (in_order_per_queue) is head-of-line
-     *                        blocking, not a timing stall, and is
-     *                        never reported here.
+     *                        write held behind an older write of
+     *                        its queue is head-of-line blocking,
+     *                        not a timing stall, and is never
+     *                        reported here.
      */
     template <typename BlockedFn>
     std::optional<DramRequest>
@@ -81,7 +76,7 @@ class RequestRegister
             const bool is_write =
                 entries_[i].kind == DramRequest::Kind::Write;
             const bool queue_blocked =
-                in_order_per_queue_ && is_write &&
+                is_write &&
                 contains(passed_write_queues, entries_[i].physQueue);
             std::optional<dram::StallCause> cause;
             if (!queue_blocked)
@@ -173,7 +168,6 @@ class RequestRegister
     }
 
     std::size_t capacity_;  // ser: config
-    bool in_order_per_queue_;  // ser: config
     /** Contiguous storage: the oldest-ready scan walks every
      *  entry on every DSA launch opportunity, and the vector's
      *  locality beat the deque's chunked layout in the profile

@@ -201,9 +201,6 @@ class EcqfMma
         }
     }
 
-    /** Queues critical somewhere in the lookahead (calendar view). */
-    std::size_t criticalCount() const { return crit_.size(); }
-
     /**
      * Drop the whole calendar (stamps, critical set, clock).  The
      * owner calls this after load() -- which already does it -- and
@@ -221,6 +218,8 @@ class EcqfMma
     }
 
     std::int64_t occupancy(QueueId p) const { return occ_[p]; }
+    /** Number of physical queues (counters). */
+    unsigned queues() const { return static_cast<unsigned>(occ_.size()); }
 
     /**
      * Checkpoint: only the occupancy counters are architectural.

@@ -46,17 +46,6 @@ openCheckpoint(const std::string &bytes,
     return payload;
 }
 
-void
-writeFile(const std::string &path, const std::string &bytes)
-{
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    fatal_if(!f, "cannot open ", path, " for writing");
-    f.write(bytes.data(),
-            static_cast<std::streamsize>(bytes.size()));
-    f.flush();
-    fatal_if(!f, "short write to ", path);
-}
-
 std::string
 readFile(const std::string &path)
 {

@@ -47,7 +47,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
  * Wrap a serialized payload in the versioned envelope.
  * @param payload the concatenated save() bytes of every layer
  * @param config_fingerprint FNV-1a of the owning leg's describe()
- * @return the envelope bytes, ready for writeFile()
+ * @return the envelope bytes, ready for sweep::writeFileOrDie()
  */
 std::string sealCheckpoint(const std::string &payload,
                            std::uint64_t config_fingerprint);
@@ -58,9 +58,6 @@ std::string sealCheckpoint(const std::string &payload,
  */
 std::string openCheckpoint(const std::string &bytes,
                            std::uint64_t config_fingerprint);
-
-/** Write bytes to a file (binary, truncating); FatalError on I/O. */
-void writeFile(const std::string &path, const std::string &bytes);
 
 /** Read a whole file (binary); FatalError if unreadable. */
 std::string readFile(const std::string &path);

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""The multi-port benches reproduce their committed baselines byte for byte.
+"""The deterministic benches reproduce their committed baselines byte for byte.
 
-Runs bench_switch_scale and bench_crossbar_compare at full length
-(--jobs 2) and compares each --json artifact with the committed
-bench/baselines/BENCH_switch.json and BENCH_crossbar.json.  These
-baselines carry no timing fields, so any difference is a change in
-simulated behaviour or in the emitted records.  On a mismatch the
+Runs bench_switch_scale, bench_crossbar_compare, example_scenario_matrix
+and bench_timing_sweep at full length (--jobs 2) and compares each
+--json artifact with the committed bench/baselines/BENCH_switch.json,
+BENCH_crossbar.json, BENCH_scenario_matrix.json and BENCH_timing.json.
+These baselines carry no timing fields, so any difference is a change
+in simulated behaviour or in the emitted records.  On a mismatch the
 first differing line is printed.
 
 usage: baseline_bytes.py BUILD_DIR BASELINE_DIR
@@ -20,6 +21,8 @@ from pathlib import Path
 CASES = [
     ("bench_switch_scale", "BENCH_switch.json"),
     ("bench_crossbar_compare", "BENCH_crossbar.json"),
+    ("example_scenario_matrix", "BENCH_scenario_matrix.json"),
+    ("bench_timing_sweep", "BENCH_timing.json"),
 ]
 
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -82,7 +83,9 @@ TEST(BankState, InFlightCount)
 TEST(BankState, RejectsBadArguments)
 {
     EXPECT_THROW(BankState(0, 4), PanicError);
-    EXPECT_THROW(BankState(4, 0), PanicError);
+    // A zero access time is a configuration error of the timing
+    // policy the uniform constructor builds.
+    EXPECT_THROW(BankState(4, 0), FatalError);
     BankState b(2, 4);
     EXPECT_THROW(b.busy(5, 0), PanicError);
 }
@@ -258,19 +261,20 @@ TEST(DramTiming, DescribeNamesEveryKnob)
     EXPECT_EQ(TimingConfig{}.describe(8), "uniform tRC=8");
 }
 
-TEST(BankState, PerBankAccessTimes)
+TEST(BankState, PerBankAccessTimesComeFromTheTimingPolicy)
 {
-    BankState s(2, 8, {8, 16});
-    EXPECT_EQ(s.accessSlotsOf(0), 8u);
-    EXPECT_EQ(s.accessSlotsOf(1), 16u);
-    s.startAccess(0, 0);
-    s.startAccess(1, 0);
+    // One bank per group: bank 0 runs at t_RC 8, bank 1 at 16.
+    TimingConfig cfg;
+    cfg.groupTRc = {8, 16};
+    BankState s(2, std::make_shared<const DramTiming>(cfg, 2, 1, 8));
+    EXPECT_EQ(s.startAccess(0, 0), 8u);
+    EXPECT_EQ(s.startAccess(1, 0), 16u);
     EXPECT_FALSE(s.busy(0, 8));
     EXPECT_TRUE(s.busy(1, 8));   // slow bank still inside t_RC
     EXPECT_FALSE(s.busy(1, 16));
     // Re-access inside the longer window is still a conflict.
     EXPECT_THROW(s.startAccess(1, 12), PanicError);
-    EXPECT_THROW(BankState(2, 8, {8}), PanicError);  // size mismatch
+    EXPECT_THROW(BankState(2, nullptr), PanicError);
 }
 
 TEST(DramTiming, ExplicitTrcIsNotUniform)

@@ -118,7 +118,7 @@ TEST(RequestRegister, UnboundedWhenCapacityZero)
 
 TEST(RequestRegister, PerQueueOrderEnforcedForWrites)
 {
-    RequestRegister rr(8, /*in_order_per_queue=*/true);
+    RequestRegister rr(8);
     rr.push(makeWrite(3, 0, 1)); // bank 1 locked
     rr.push(makeWrite(3, 1, 2)); // same queue, free bank
     rr.push(makeWrite(4, 0, 3)); // other queue, free bank
@@ -224,12 +224,11 @@ TEST(OngoingRequests, LockExpiryBoundaryIsExclusive)
 
 TEST(OngoingRequests, SharedBetweenReadAndWriteSchedulers)
 {
-    // The read path and the write path each own a scheduler; a bank
-    // is locked no matter which direction locked it, because both
-    // share one ORR.
+    // Two schedulers sharing one ORR, one fed reads and one writes:
+    // a bank is locked no matter which direction locked it.
     OngoingRequests orr(8);
     DramScheduler reads(16, orr);
-    DramScheduler writes(16, orr, /*in_order_per_queue=*/true);
+    DramScheduler writes(16, orr);
 
     writes.push(makeWrite(0, 0, 3, 0));
     reads.push(makeRead(1, 0, 3, 0));  // same bank as the write
@@ -271,14 +270,12 @@ TEST(DramScheduler, RefreshStallsAreAccountedByCause)
     cfg.tRfc = 8;
     cfg.refreshBanks = 2;
     OngoingRequests orr(makeTiming(cfg, 4, 2, 8));
-    StatRegistry stats;
-    DramScheduler sched(16, orr, false, &stats);
+    DramScheduler sched(16, orr);
 
     sched.push(makeRead(0, 0, /*bank=*/0, 0));
     EXPECT_FALSE(sched.tryLaunch(0));  // bank 0 refreshing
     EXPECT_EQ(sched.stallsFor(dram::StallCause::Refresh), 1u);
     EXPECT_EQ(sched.stallsFor(dram::StallCause::BankBusy), 0u);
-    EXPECT_EQ(stats.counterValue("dsa.stall.refresh"), 1u);
     // A request to a bank outside the window launches immediately.
     sched.push(makeRead(1, 0, /*bank=*/2, 0));
     auto r = sched.tryLaunch(0);
@@ -295,8 +292,7 @@ TEST(DramScheduler, TurnaroundStallsAreAccountedByCause)
     dram::TimingConfig cfg;
     cfg.turnaround = 4;
     OngoingRequests orr(makeTiming(cfg, 4, 2, 8));
-    StatRegistry stats;
-    DramScheduler sched(16, orr, false, &stats);
+    DramScheduler sched(16, orr);
 
     sched.push(makeRead(0, 0, 0, 0));
     sched.push(makeWrite(1, 0, 1, 0));
@@ -305,7 +301,6 @@ TEST(DramScheduler, TurnaroundStallsAreAccountedByCause)
     EXPECT_FALSE(sched.tryLaunch(2));
     EXPECT_EQ(sched.stallsFor(dram::StallCause::Turnaround), 1u);
     EXPECT_EQ(sched.stallsFor(dram::StallCause::BankBusy), 0u);
-    EXPECT_EQ(stats.counterValue("dsa.stall.turnaround"), 1u);
     auto w = sched.tryLaunch(4);
     ASSERT_TRUE(w);
     EXPECT_EQ(w->kind, DramRequest::Kind::Write);

@@ -2,13 +2,16 @@
  * @file
  * White-box tests of HybridBuffer internals: the bypass/cancel
  * protocol, out-of-order refill, recycling invariants, admission
- * semantics, trace output, measurement mode and timing exactness
- * across granularities.
+ * semantics, measurement mode, timing exactness across
+ * granularities and the checkpoint sections that repeat another
+ * owner's state.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <functional>
+#include <string>
 
 #include "buffer/hybrid_buffer.hh"
 #include "sim/runner.hh"
@@ -52,6 +55,56 @@ idle(HybridBuffer &buf, unsigned n)
 {
     for (unsigned i = 0; i < n; ++i)
         buf.step(std::nullopt, kInvalidQueue);
+}
+
+/** A CFDS buffer after some uniform traffic: non-zero MMA counters
+ *  and DSA stalls to checkpoint. */
+void
+runTraffic(HybridBuffer &buf)
+{
+    UniformRandom wl(4, 17, 1.0);
+    SimRunner runner(buf, wl);
+    runner.run(4000);
+}
+
+void
+putU64(std::string &bytes, std::size_t at, std::uint64_t v)
+{
+    ASSERT_LE(at + 8, bytes.size());
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+std::uint64_t
+getU64(const std::string &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+    return v;
+}
+
+/**
+ * Save `buf`, let `corrupt` edit the bytes, and load them into a
+ * fresh buffer of the same configuration.
+ * @return the FatalError text, or "" if the load was accepted
+ */
+std::string
+loadError(const HybridBuffer &buf,
+          const std::function<void(std::string &)> &corrupt)
+{
+    ser::Writer w;
+    buf.save(w);
+    std::string bytes = w.take();
+    corrupt(bytes);
+    HybridBuffer fresh(buf.config());
+    ser::Reader r(bytes);
+    try {
+        fresh.load(r);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 } // namespace
@@ -153,22 +206,6 @@ TEST(Whitebox, GrantsAreInFifoOrderPerQueueAcrossPaths)
         }
     }
     EXPECT_GT(granted, 7000u);
-}
-
-TEST(Whitebox, TraceProducesEvents)
-{
-    HybridBuffer buf(config(2, 4, 2, 4));
-    std::ostringstream os;
-    buf.trace = &os;
-    fill(buf, 0, 8);
-    buf.step(std::nullopt, 0); // a request makes the h-MMA fire
-    idle(buf, 16);
-    buf.trace = nullptr;
-    const auto text = os.str();
-    EXPECT_NE(text.find("tmma claim"), std::string::npos);
-    EXPECT_NE(text.find("hmma select"), std::string::npos)
-        << "trace: " << text;
-    EXPECT_NE(text.find("grant due"), std::string::npos);
 }
 
 TEST(Whitebox, WouldAdmitReflectsDramSpace)
@@ -315,4 +352,50 @@ TEST(Whitebox, MdqfSramLargerThanEcqf)
     m.mma = MmaKind::Mdqf;
     HybridBuffer ecqf(e), mdqf(m);
     EXPECT_GT(mdqf.headSram().capacity(), ecqf.headSram().capacity());
+}
+
+TEST(Whitebox, LoadRejectsAnMdqfCounterThatDisagreesWithEcqf)
+{
+    HybridBuffer buf(config(4, 8, 2, 16));
+    runTraffic(buf);
+    const auto err = loadError(buf, [](std::string &bytes) {
+        // "MDQF", u64 queue count, then one i64 counter per queue.
+        const auto at = bytes.find("MDQF");
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t first = at + 4 + 8;
+        putU64(bytes, first, getU64(bytes, first) + 1);
+    });
+    EXPECT_NE(err.find("MDQF"), std::string::npos) << err;
+}
+
+TEST(Whitebox, LoadRejectsAStallCounterThatDisagreesWithTheScheduler)
+{
+    HybridBuffer buf(config(4, 8, 2, 16));
+    runTraffic(buf);
+    const auto err = loadError(buf, [](std::string &bytes) {
+        // Inside "STRG": the counter's name, then its u64 value.
+        const std::string name = "dsa.stall.bank_busy";
+        const auto at = bytes.find(name, bytes.find("STRG"));
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t value = at + name.size();
+        putU64(bytes, value, getU64(bytes, value) + 1);
+    });
+    EXPECT_NE(err.find("STRG"), std::string::npos) << err;
+}
+
+TEST(Whitebox, LoadRejectsAMissingLatencyRegister)
+{
+    HybridBuffer buf(config(4, 8, 2, 16));
+    runTraffic(buf);
+    const std::uint64_t depth = buf.latencyDepth();
+    const auto err = loadError(buf, [depth](std::string &bytes) {
+        // The presence flag precedes the latency register (u64 depth,
+        // u64 head, 8 bytes per stage), which precedes "ORRG".
+        const auto orr = bytes.find("ORRG");
+        ASSERT_NE(orr, std::string::npos);
+        const std::size_t flag = orr - (16 + 8 * depth) - 1;
+        ASSERT_EQ(bytes[flag], 1);
+        bytes[flag] = 0;
+    });
+    EXPECT_NE(err.find("latency register"), std::string::npos) << err;
 }

@@ -107,62 +107,66 @@ TEST(Ecqf, IdleSlotsAreSkipped)
     EXPECT_EQ(mma.select(look, ident), 1u);
 }
 
+namespace
+{
+
+bool
+anyQueue(QueueId)
+{
+    return true;
+}
+
+} // namespace
+
 TEST(Mdqf, PicksDeepestDeficit)
 {
-    MdqfMma mma(3);
-    mma.onRequestLeaving(0); // occ -1
-    mma.onRequestLeaving(2);
-    mma.onRequestLeaving(2); // occ -2
-    const auto pick = mma.select(
-        4, [](QueueId) { return true; });
-    EXPECT_EQ(pick, 2u);
+    EcqfMma counters(3);
+    counters.onRequestLeaving(0); // occ -1
+    counters.onRequestLeaving(2);
+    counters.onRequestLeaving(2); // occ -2
+    EXPECT_EQ(MdqfMma::select(counters, 4, anyQueue), 2u);
 }
 
 TEST(Mdqf, SkipsUnreplenishableAndComfortable)
 {
-    MdqfMma mma(3);
-    mma.onRequestLeaving(0);
-    mma.onRequestLeaving(0);
-    mma.onReplenishIssued(1, 8); // comfortable
-    mma.onRequestLeaving(2);
+    EcqfMma counters(3);
+    counters.onRequestLeaving(0);
+    counters.onRequestLeaving(0);
+    counters.onReplenishIssued(1, 8); // comfortable
+    counters.onRequestLeaving(2);
     // Queue 0 has the deepest deficit but nothing to transfer.
-    const auto pick = mma.select(
-        4, [](QueueId q) { return q != 0; });
+    const auto pick = MdqfMma::select(
+        counters, 4, [](QueueId q) { return q != 0; });
     EXPECT_EQ(pick, 2u);
 }
 
 TEST(Mdqf, NoCandidatesReturnsInvalid)
 {
-    MdqfMma mma(2);
-    mma.onReplenishIssued(0, 4);
-    mma.onReplenishIssued(1, 4);
-    EXPECT_EQ(mma.select(4, [](QueueId) { return true; }),
-              kInvalidQueue);
+    EcqfMma counters(2);
+    counters.onReplenishIssued(0, 4);
+    counters.onReplenishIssued(1, 4);
+    EXPECT_EQ(MdqfMma::select(counters, 4, anyQueue), kInvalidQueue);
 }
 
 // ---------------------------------------------------------------
-// ECQF vs MDQF: the value (and the blind spot) of lookahead.
+// ECQF vs MDQF: the value (and the blind spot) of lookahead.  Both
+// rules read the same occupancy counters.
 // ---------------------------------------------------------------
 
 TEST(EcqfVsMdqf, LookaheadOverridesDeficitDepth)
 {
     // Queue 0 carries the deeper deficit, but the lookahead shows
-    // queue 1 running dry first.  Feeding both MMAs identical
-    // issue/leave histories, ECQF replenishes queue 1 while the
-    // lookahead-blind MDQF goes for queue 0.
+    // queue 1 running dry first.  Over the same counters ECQF
+    // replenishes queue 1 while the lookahead-blind MDQF goes for
+    // queue 0.
     EcqfMma ecqf(3);
-    MdqfMma mdqf(3);
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 3; ++i)
         ecqf.onRequestLeaving(0);
-        mdqf.onRequestLeaving(0);
-    }
     ecqf.onReplenishIssued(1, 1);
-    mdqf.onReplenishIssued(1, 1);
 
     auto look = lookaheadOf(8, {1, 1, 0, 0, 0, 0});
     const auto ecqf_pick = ecqf.select(look, ident);
-    const auto mdqf_pick =
-        mdqf.select(4, [](QueueId) { return true; });
+    const auto mdqf_pick = MdqfMma::select(ecqf, 4, anyQueue);
     EXPECT_EQ(ecqf_pick, 1u);
     EXPECT_EQ(mdqf_pick, 0u);
     EXPECT_NE(ecqf_pick, mdqf_pick);
@@ -173,14 +177,11 @@ TEST(EcqfVsMdqf, AgreeWhenLookaheadConfirmsTheDeficit)
     // When the imminent requests target the most-deficited queue,
     // lookahead adds nothing: both algorithms choose the same queue.
     EcqfMma ecqf(3);
-    MdqfMma mdqf(3);
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 2; ++i)
         ecqf.onRequestLeaving(2);
-        mdqf.onRequestLeaving(2);
-    }
     auto look = lookaheadOf(6, {2, 2, 1, 1});
     EXPECT_EQ(ecqf.select(look, ident), 2u);
-    EXPECT_EQ(mdqf.select(4, [](QueueId) { return true; }), 2u);
+    EXPECT_EQ(MdqfMma::select(ecqf, 4, anyQueue), 2u);
 }
 
 TEST(EcqfVsMdqf, RequestOrderMattersOnlyToEcqf)
@@ -189,11 +190,8 @@ TEST(EcqfVsMdqf, RequestOrderMattersOnlyToEcqf)
     // pick follows whichever queue empties first, MDQF's cannot (its
     // counters are order-independent).
     EcqfMma ecqf(2);
-    MdqfMma mdqf(2);
     ecqf.onReplenishIssued(0, 1);
     ecqf.onReplenishIssued(1, 1);
-    mdqf.onReplenishIssued(0, 1);
-    mdqf.onReplenishIssued(1, 1);
 
     auto zero_first = lookaheadOf(8, {0, 0, 1, 1});
     auto one_first = lookaheadOf(8, {1, 1, 0, 0});
@@ -202,7 +200,7 @@ TEST(EcqfVsMdqf, RequestOrderMattersOnlyToEcqf)
     // MDQF has no future-order input at all: with the occupancy tie
     // at +1 its pick is pinned to the first queue, whichever order
     // the upcoming requests would arrive in.
-    EXPECT_EQ(mdqf.select(4, [](QueueId) { return true; }), 0u);
+    EXPECT_EQ(MdqfMma::select(ecqf, 4, anyQueue), 0u);
 }
 
 TEST(EcqfVsMdqf, EmptyLookaheadGivesEcqfNothingToActOn)
@@ -211,12 +209,10 @@ TEST(EcqfVsMdqf, EmptyLookaheadGivesEcqfNothingToActOn)
     // still replenishes the deficited one.  This is exactly why MDQF
     // needs the larger Q(b-1)(2 + ln Q) SRAM and ECQF does not.
     EcqfMma ecqf(2);
-    MdqfMma mdqf(2);
     ecqf.onRequestLeaving(1);
-    mdqf.onRequestLeaving(1);
     ShiftRegister<QueueId> empty(6, kInvalidQueue);
     EXPECT_EQ(ecqf.select(empty, ident), kInvalidQueue);
-    EXPECT_EQ(mdqf.select(4, [](QueueId) { return true; }), 1u);
+    EXPECT_EQ(MdqfMma::select(ecqf, 4, anyQueue), 1u);
 }
 
 TEST(TailMma, ThresholdAndRoundRobinFairness)

@@ -25,6 +25,7 @@
 #include "common/stats.hh"
 #include "fuzz_env.hh"
 #include "soak/checkpoint.hh"
+#include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
 #include "switch/switch_sim.hh"
 
@@ -343,7 +344,7 @@ TEST(CheckpointEnvelope, FileRoundTripAndMissingFile)
     const std::string path =
         ::testing::TempDir() + "pktbuf_ck_test.bin";
     const auto sealed = soak::sealCheckpoint("state", 1);
-    soak::writeFile(path, sealed);
+    sweep::writeFileOrDie(path, sealed);
     EXPECT_EQ(soak::readFile(path), sealed);
     std::remove(path.c_str());
     EXPECT_THROW(soak::readFile(path), FatalError);
@@ -518,7 +519,7 @@ TEST(SoakFuzzSmoke, RandomLegsSurviveCheckpointCycles)
                 run.runTo(s.slots / 2);
                 const std::string stem = std::string(artifact_dir) +
                     "/soak_fail_iter" + std::to_string(it);
-                soak::writeFile(stem + ".ck", run.checkpoint());
+                sweep::writeFileOrDie(stem + ".ck", run.checkpoint());
                 std::ofstream log(std::string(artifact_dir) +
                                       "/soak_failures.txt",
                                   std::ios::app);
