@@ -13,6 +13,18 @@ namespace
 
 using model::BufferParams;
 
+/**
+ * The config, after BufferParams::validate(): the first member
+ * initializer, so a zero granularity ends in a FatalError before the
+ * address map divides by it.
+ */
+const BufferConfig &
+validated(const BufferConfig &cfg)
+{
+    cfg.params.validate();
+    return cfg;
+}
+
 unsigned
 resolveBanks(const BufferConfig &cfg)
 {
@@ -206,7 +218,7 @@ resolveGroupCapacity(const BufferConfig &cfg, unsigned groups)
 } // namespace
 
 HybridBuffer::HybridBuffer(const BufferConfig &cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       rads_(cfg.params.isRads()),
       event_skip_(cfg.mma == MmaKind::Ecqf),
       phys_queues_(cfg.params.queues),
@@ -234,7 +246,6 @@ HybridBuffer::HybridBuffer(const BufferConfig &cfg)
       group_capacity_(resolveGroupCapacity(cfg, map_.groups())),
       read_slab_(gran_, banks_.banks())
 {
-    cfg_.params.validate();
     fatal_if(cfg_.renaming && rads_,
              "queue renaming requires the banked CFDS organization");
     const unsigned logical = cfg_.effectiveLogicalQueues();

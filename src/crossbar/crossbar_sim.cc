@@ -274,7 +274,7 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
       sched_(makeScheduler(
           cfg.scheduler, cfg.ports, cfg.islipIterations,
           cfg.qpsWindow, sweep::deriveSeed(cfg.masterSeed, kSchedSalt))),
-      wl_(cfg.ports, nullptr)
+      wl_(cfg.ports, nullptr), occ_(cfg.ports), taken_(cfg.ports)
 {
     inputs_.reserve(cfg.ports);
     for (unsigned i = 0; i < cfg.ports; ++i) {
@@ -291,14 +291,13 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
 }
 
 void
-CrossbarRun::validate(Slot t, const Occupancy &occ,
-                      const Matching &m) const
+CrossbarRun::validate(Slot t, const Matching &m)
 {
     const unsigned n = cfg_.ports;
     panic_if(m.size() != n, "scheduler ", sched_->name(),
              " returned ", m.size(), " entries for ", n,
              " inputs at slot ", t);
-    std::vector<bool> taken(n, false);
+    std::fill(taken_.begin(), taken_.end(), false);
     for (unsigned i = 0; i < n; ++i) {
         const QueueId j = m[i];
         if (j == kInvalidQueue)
@@ -306,12 +305,12 @@ CrossbarRun::validate(Slot t, const Occupancy &occ,
         panic_if(j >= n, "scheduler ", sched_->name(),
                  " matched input ", i, " to invalid output ", j,
                  " at slot ", t);
-        panic_if(taken[j], "scheduler ", sched_->name(),
+        panic_if(taken_[j], "scheduler ", sched_->name(),
                  " granted output ", j, " twice at slot ", t);
-        panic_if(occ.at(i, j) == 0, "scheduler ", sched_->name(),
+        panic_if(occ_.at(i, j) == 0, "scheduler ", sched_->name(),
                  " granted empty VOQ (", i, " -> ", j, ") at slot ",
                  t);
-        taken[j] = true;
+        taken_[j] = true;
     }
 }
 
@@ -325,37 +324,33 @@ CrossbarRun::runTo(std::uint64_t slot)
              " beyond the main phase (", cfg_.slots, " slots)");
     const unsigned n = cfg_.ports;
     for (std::uint64_t t = executed_; t < slot; ++t) {
-        // Start-of-slot VOQ snapshot: credits are cells arrived but
-        // not yet requested, exactly what the fabric may move.
-        Occupancy occ(n);
-        bool any = false;
-        for (unsigned i = 0; i < n; ++i) {
-            for (unsigned j = 0; j < n; ++j) {
-                const auto c = wl_[i]->credit(j);
-                occ.at(i, j) = c;
-                any = any || c > 0;
-            }
-        }
-        Matching m(n, kInvalidQueue);
+        // Credits are cells arrived but not yet requested, exactly
+        // what the fabric may move.  An all-empty fabric slot never
+        // consults the scheduler, so its RNG/pointer state stays a
+        // pure function of the traffic it actually arbitrated.
+        const bool any = std::any_of(
+            wl_.begin(), wl_.end(),
+            [](const auto *w) { return w->creditedQueues() > 0; });
+        const Matching *m = nullptr;
         unsigned iters = 0;
         if (any) {
-            // An all-empty fabric slot never consults the scheduler,
-            // so its RNG/pointer state stays a pure function of the
-            // traffic it actually arbitrated.
-            m = sched_->schedule(occ);
-            validate(t, occ, m);
+            for (unsigned i = 0; i < n; ++i)
+                occ_.setRow(i, wl_[i]->credits(),
+                            wl_[i]->creditedBits());
+            m = &sched_->schedule(occ_);
+            validate(t, *m);
             iters = sched_->lastIterations();
             ++active_slots_;
             iter_sum_ += iters;
-            match_edges_ += matchingSize(m);
+            match_edges_ += matchingSize(*m);
+            for (unsigned i = 0; i < n; ++i)
+                wl_[i]->setGrant((*m)[i]);
         }
-        for (unsigned i = 0; i < n; ++i)
-            wl_[i]->setGrant(m[i]);
         for (unsigned i = 0; i < n; ++i)
             inputs_[i]->runTo(t + 1);
         executed_ = t + 1;
-        if (any && onMatch)
-            onMatch(t, occ, m, iters);
+        if (m && onMatch)
+            onMatch(t, occ_, *m, iters);
     }
 }
 

@@ -13,17 +13,19 @@
  * The layering deliberately adds no second simulation code path:
  * input i *is* a soak::ScenarioRun (the checkpointable
  * runScenarioWith() skeleton) whose workload's requests are the
- * matching engine's grants.  Per slot the engine snapshots every
- * input's VOQ credits into an Occupancy matrix, asks the scheduler
- * for a matching, validates it (conflict-free, backed -- panics
- * otherwise: a bad matching is a scheduler bug), injects each grant
- * into its input's workload and advances all inputs one lockstep
- * slot.  A 1x1 crossbar therefore reproduces the matching
- * single-buffer scenario leg bit-for-bit (any maximal scheduler is
- * work-conserving at N == 1), and checkpoint/restore of the whole
- * fabric -- scheduler pointers, RNG, every input's sealed envelope --
- * is bit-identical to an unbroken run.  tests/test_crossbar.cc
- * enforces both.
+ * matching engine's grants.  Per slot the engine asks the workloads'
+ * credited-queue counts whether any VOQ is backed; if so it copies
+ * every input's credits and credited-queue bitmap into the one
+ * Occupancy it owns, asks the scheduler for a matching, validates it
+ * (conflict-free, backed -- panics otherwise: a bad matching is a
+ * scheduler bug) and injects each grant into its input's workload.
+ * Then it advances all inputs one lockstep slot; a steady-state
+ * slot allocates nothing.  A 1x1 crossbar therefore reproduces the
+ * matching single-buffer scenario leg bit-for-bit (any maximal
+ * scheduler is work-conserving at N == 1), and checkpoint/restore of
+ * the whole fabric -- scheduler pointers, RNG, every input's sealed
+ * envelope -- is bit-identical to an unbroken run.
+ * tests/test_crossbar.cc enforces both.
  *
  * Destination patterns reuse the switch layer's TrafficPattern
  * vocabulary, reinterpreted over *outputs*: uniform spreads each
@@ -284,8 +286,7 @@ class CrossbarRun
         onMatch;
 
   private:
-    void validate(Slot t, const Occupancy &occ,
-                  const Matching &m) const;
+    void validate(Slot t, const Matching &m);
 
     CrossbarConfig cfg_;
     std::vector<InputPlan> plans_;
@@ -299,6 +300,10 @@ class CrossbarRun
     std::uint64_t match_edges_ = 0;
     std::uint64_t active_slots_ = 0;
     std::uint64_t iter_sum_ = 0;
+    /** The start-of-slot snapshot, refilled every active slot. */
+    Occupancy occ_;  // ser: derived
+    /** validate()'s taken-output set. */
+    std::vector<bool> taken_;  // ser: derived
 };
 
 /**

@@ -1,12 +1,60 @@
 #include "scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace pktbuf::xbar
 {
+
+namespace
+{
+
+/** No set bit: firstSetFrom's miss value. */
+constexpr unsigned kNoBit = ~0u;
+
+constexpr std::uint64_t
+bitOf(unsigned k)
+{
+    return 1ull << (k % 64);
+}
+
+/** Bitmap of words with bits [0, n) set and every other bit clear. */
+void
+setFirst(std::vector<std::uint64_t> &bits, unsigned n)
+{
+    std::fill(bits.begin(), bits.end(), 0);
+    for (unsigned w = 0; w < n / 64; ++w)
+        bits[w] = ~0ull;
+    if (n % 64)
+        bits[n / 64] = bitOf(n) - 1;
+}
+
+/**
+ * First set bit at or after `start` in cyclic order over a bitmap of
+ * `words` words, or kNoBit when every word is zero.  `word(w)` yields
+ * word w.  The start mask splits the start word at `start`: its bits
+ * below `start` stay out of the first probe and are reached last,
+ * after the scan wraps round to the start word again.
+ */
+template <typename WordFn>
+unsigned
+firstSetFrom(unsigned words, unsigned start, const WordFn &word)
+{
+    const unsigned w0 = start / 64;
+    if (const auto at_or_after = word(w0) & (~0ull << (start % 64)))
+        return w0 * 64 + std::countr_zero(at_or_after);
+    for (unsigned k = 1; k <= words; ++k) {
+        const unsigned w = w0 + k < words ? w0 + k : w0 + k - words;
+        if (const auto x = word(w))
+            return w * 64 + std::countr_zero(x);
+    }
+    return kNoBit;
+}
+
+} // namespace
 
 std::size_t
 matchingSize(const Matching &m)
@@ -128,8 +176,12 @@ parseSchedulerKind(const std::string &token, SchedulerKind &out)
 }
 
 IslipScheduler::IslipScheduler(unsigned ports, unsigned iterations)
-    : ports_(ports), iterations_(iterations), g_(ports, 0),
-      a_(ports, 0)
+    : ports_(ports), iterations_(iterations),
+      words_((ports + 63) / 64), g_(ports, 0), a_(ports, 0),
+      match_(ports, kInvalidQueue),
+      cols_(static_cast<std::size_t>(ports) * words_, 0),
+      grants_(static_cast<std::size_t>(ports) * words_, 0),
+      free_in_(words_, 0), free_out_(words_, 0), granted_(words_, 0)
 {
     fatal_if(ports == 0, "islip: zero ports");
     fatal_if(iterations == 0, "islip: zero iterations");
@@ -143,54 +195,75 @@ IslipScheduler::name() const
     return os.str();
 }
 
-Matching
+const Matching &
 IslipScheduler::schedule(const Occupancy &occ)
 {
     const unsigned n = ports_;
-    Matching match(n, kInvalidQueue);
-    std::vector<bool> out_matched(n, false);
+    const unsigned nw = words_;
+    // Transpose the request rows into per-output column masks.
+    std::fill(cols_.begin(), cols_.end(), 0);
+    for (unsigned i = 0; i < n; ++i) {
+        const std::uint64_t *row = occ.requests(i);
+        for (unsigned w = 0; w < nw; ++w) {
+            for (auto r = row[w]; r; r &= r - 1) {
+                const unsigned j = w * 64 + std::countr_zero(r);
+                cols_[static_cast<std::size_t>(j) * nw + i / 64] |=
+                    bitOf(i);
+            }
+        }
+    }
+    std::fill(match_.begin(), match_.end(), kInvalidQueue);
+    setFirst(free_in_, n);
+    setFirst(free_out_, n);
     last_iters_ = 0;
     for (unsigned it = 0; it < iterations_; ++it) {
         // Grant: each unmatched output picks the first unmatched
         // input with a backed VOQ at or after its grant pointer.
-        std::vector<QueueId> grant(n, kInvalidQueue);
-        for (unsigned j = 0; j < n; ++j) {
-            if (out_matched[j])
-                continue;
-            for (unsigned k = 0; k < n; ++k) {
-                const unsigned i = (g_[j] + k) % n;
-                if (match[i] == kInvalidQueue && occ.at(i, j) > 0) {
-                    grant[j] = i;
-                    break;
-                }
-            }
-        }
-        // Accept: each unmatched input picks the first granting
-        // output at or after its accept pointer.  Pointers move one
-        // past the partner only on first-iteration accepts.
-        bool progress = false;
-        for (unsigned i = 0; i < n; ++i) {
-            if (match[i] != kInvalidQueue)
-                continue;
-            for (unsigned k = 0; k < n; ++k) {
-                const unsigned j = (a_[i] + k) % n;
-                if (grant[j] != i)
+        bool granted_any = false;
+        for (unsigned w = 0; w < nw; ++w) {
+            for (auto f = free_out_[w]; f; f &= f - 1) {
+                const unsigned j = w * 64 + std::countr_zero(f);
+                const std::uint64_t *col =
+                    &cols_[static_cast<std::size_t>(j) * nw];
+                const unsigned i =
+                    firstSetFrom(nw, g_[j], [&](unsigned k) {
+                        return col[k] & free_in_[k];
+                    });
+                if (i == kNoBit)
                     continue;
-                match[i] = j;
-                out_matched[j] = true;
-                progress = true;
-                if (it == 0) {
-                    g_[j] = (i + 1) % n;
-                    a_[i] = (j + 1) % n;
-                }
-                break;
+                grants_[static_cast<std::size_t>(i) * nw + j / 64] |=
+                    bitOf(j);
+                granted_[i / 64] |= bitOf(i);
+                granted_any = true;
             }
         }
-        if (!progress)
+        // Without a grant the iteration adds no edge: stop early.
+        if (!granted_any)
             break;
+        // Accept: each granted input picks the first granting output
+        // at or after its accept pointer.  Pointers move one past the
+        // partner only on first-iteration accepts.
+        for (unsigned w = 0; w < nw; ++w) {
+            for (auto gi = granted_[w]; gi; gi &= gi - 1) {
+                const unsigned i = w * 64 + std::countr_zero(gi);
+                std::uint64_t *grant =
+                    &grants_[static_cast<std::size_t>(i) * nw];
+                const unsigned j = firstSetFrom(
+                    nw, a_[i], [&](unsigned k) { return grant[k]; });
+                std::fill_n(grant, nw, 0);
+                match_[i] = j;
+                free_in_[i / 64] &= ~bitOf(i);
+                free_out_[j / 64] &= ~bitOf(j);
+                if (it == 0) {
+                    g_[j] = i + 1 == n ? 0 : i + 1;
+                    a_[i] = j + 1 == n ? 0 : j + 1;
+                }
+            }
+            granted_[w] = 0;
+        }
         ++last_iters_;
     }
-    return match;
+    return match_;
 }
 
 void
@@ -221,7 +294,9 @@ IslipScheduler::load(ser::Reader &r)
 
 QpsScheduler::QpsScheduler(unsigned ports, unsigned window,
                            std::uint64_t seed)
-    : ports_(ports), window_(window), rng_(seed), held_(ports)
+    : ports_(ports), window_(window), rng_(seed), held_(ports),
+      match_(ports, kInvalidQueue), out_taken_(ports, false),
+      proposal_(ports, kInvalidQueue)
 {
     fatal_if(ports == 0, "qps: zero ports");
     fatal_if(window == 0, "qps: zero window");
@@ -235,12 +310,12 @@ QpsScheduler::name() const
     return os.str();
 }
 
-Matching
+const Matching &
 QpsScheduler::schedule(const Occupancy &occ)
 {
     const unsigned n = ports_;
-    Matching match(n, kInvalidQueue);
-    std::vector<bool> out_taken(n, false);
+    std::fill(match_.begin(), match_.end(), kInvalidQueue);
+    std::fill(out_taken_.begin(), out_taken_.end(), false);
     last_iters_ = 0;
 
     // Phase 1 -- sliding-window hold: keep last slot's edge while it
@@ -249,9 +324,9 @@ QpsScheduler::schedule(const Occupancy &occ)
     for (unsigned i = 0; i < n; ++i) {
         auto &h = held_[i];
         if (h.out != kInvalidQueue && h.age < window_ &&
-            occ.at(i, h.out) > 0 && !out_taken[h.out]) {
-            match[i] = h.out;
-            out_taken[h.out] = true;
+            occ.at(i, h.out) > 0 && !out_taken_[h.out]) {
+            match_[i] = h.out;
+            out_taken_[h.out] = true;
             ++h.age;
             held_any = true;
         } else {
@@ -264,9 +339,9 @@ QpsScheduler::schedule(const Occupancy &occ)
     // Phase 2 -- queue-proportional sampling: one proposal per
     // unmatched input, drawn with probability proportional to VOQ
     // depth; each free output accepts the deepest proposal.
-    std::vector<QueueId> proposal(n, kInvalidQueue);
+    std::fill(proposal_.begin(), proposal_.end(), kInvalidQueue);
     for (unsigned i = 0; i < n; ++i) {
-        if (match[i] != kInvalidQueue)
+        if (match_[i] != kInvalidQueue)
             continue;
         const auto total = occ.rowTotal(i);
         if (total == 0)
@@ -275,7 +350,7 @@ QpsScheduler::schedule(const Occupancy &occ)
         for (unsigned j = 0; j < n; ++j) {
             const auto c = occ.at(i, j);
             if (pick < c) {
-                proposal[i] = j;
+                proposal_[i] = j;
                 break;
             }
             pick -= c;
@@ -283,19 +358,19 @@ QpsScheduler::schedule(const Occupancy &occ)
     }
     bool sampled_any = false;
     for (unsigned j = 0; j < n; ++j) {
-        if (out_taken[j])
+        if (out_taken_[j])
             continue;
         unsigned best = n;
         std::uint64_t best_depth = 0;
         for (unsigned i = 0; i < n; ++i) {
-            if (proposal[i] == j && occ.at(i, j) > best_depth) {
+            if (proposal_[i] == j && occ.at(i, j) > best_depth) {
                 best = i;
                 best_depth = occ.at(i, j);
             }
         }
         if (best < n) {
-            match[best] = j;
-            out_taken[j] = true;
+            match_[best] = j;
+            out_taken_[j] = true;
             held_[best] = Hold{static_cast<QueueId>(j), 0};
             sampled_any = true;
         }
@@ -306,13 +381,13 @@ QpsScheduler::schedule(const Occupancy &occ)
     // Phase 3 -- greedy completion to a maximal matching.
     bool filled_any = false;
     for (unsigned i = 0; i < n; ++i) {
-        if (match[i] != kInvalidQueue)
+        if (match_[i] != kInvalidQueue)
             continue;
         for (unsigned j = 0; j < n; ++j) {
-            if (out_taken[j] || occ.at(i, j) == 0)
+            if (out_taken_[j] || occ.at(i, j) == 0)
                 continue;
-            match[i] = j;
-            out_taken[j] = true;
+            match_[i] = j;
+            out_taken_[j] = true;
             held_[i] = Hold{static_cast<QueueId>(j), 0};
             filled_any = true;
             break;
@@ -320,7 +395,7 @@ QpsScheduler::schedule(const Occupancy &occ)
     }
     if (filled_any)
         ++last_iters_;
-    return match;
+    return match_;
 }
 
 void
@@ -351,46 +426,46 @@ QpsScheduler::load(ser::Reader &r)
 
 RandomMaximalScheduler::RandomMaximalScheduler(unsigned ports,
                                                std::uint64_t seed)
-    : ports_(ports), rng_(seed)
+    : ports_(ports), rng_(seed), match_(ports, kInvalidQueue),
+      out_taken_(ports, false), order_(ports)
 {
     fatal_if(ports == 0, "random scheduler: zero ports");
 }
 
-Matching
+const Matching &
 RandomMaximalScheduler::schedule(const Occupancy &occ)
 {
     const unsigned n = ports_;
-    Matching match(n, kInvalidQueue);
-    std::vector<bool> out_taken(n, false);
+    std::fill(match_.begin(), match_.end(), kInvalidQueue);
+    std::fill(out_taken_.begin(), out_taken_.end(), false);
 
     // Fresh random service order over the inputs (Fisher-Yates).
-    std::vector<unsigned> order(n);
     for (unsigned i = 0; i < n; ++i)
-        order[i] = i;
+        order_[i] = i;
     for (unsigned i = n - 1; i > 0; --i) {
         const auto j = static_cast<unsigned>(rng_.below(i + 1));
-        std::swap(order[i], order[j]);
+        std::swap(order_[i], order_[j]);
     }
 
-    for (const unsigned i : order) {
+    for (const unsigned i : order_) {
         unsigned candidates = 0;
         for (unsigned j = 0; j < n; ++j)
-            candidates += (!out_taken[j] && occ.at(i, j) > 0) ? 1 : 0;
+            candidates += (!out_taken_[j] && occ.at(i, j) > 0) ? 1 : 0;
         if (candidates == 0)
             continue;
         auto pick = rng_.below(candidates);
         for (unsigned j = 0; j < n; ++j) {
-            if (out_taken[j] || occ.at(i, j) == 0)
+            if (out_taken_[j] || occ.at(i, j) == 0)
                 continue;
             if (pick-- == 0) {
-                match[i] = j;
-                out_taken[j] = true;
+                match_[i] = j;
+                out_taken_[j] = true;
                 break;
             }
         }
     }
     last_iters_ = 1;
-    return match;
+    return match_;
 }
 
 void

@@ -14,7 +14,9 @@
  *  - deterministic: a scheduler is a pure function of its own state
  *    (pointers, RNG, held edges) and the occupancy matrix, so a
  *    checkpointed run replays bit-for-bit;
- *  - serializable: save()/load() capture the full decision state.
+ *  - serializable: save()/load() capture the full decision state;
+ *  - allocation-free: schedule() returns a reference into storage the
+ *    scheduler sized at construction, valid until its next call.
  *
  * Maximality is a quality property, not part of the base contract:
  * iSLIP converges to a maximal matching given enough iterations, the
@@ -26,11 +28,15 @@
 #ifndef PKTBUF_CROSSBAR_SCHEDULER_HH
 #define PKTBUF_CROSSBAR_SCHEDULER_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
@@ -41,14 +47,18 @@ namespace pktbuf::xbar
 /**
  * Start-of-slot VOQ occupancy snapshot: at(i, j) is the number of
  * cells waiting at input i for output j (the workload's credit).
- * Square (ports x ports); the matching engine fills it each slot.
+ * Beside the depths it keeps one request bitmap per input -- bit j of
+ * requests(i) is set exactly when at(i, j) > 0 -- so the schedulers
+ * can work on 64-bit words.  Square (ports x ports); the matching
+ * engine owns one and refills it every active slot.
  */
 class Occupancy
 {
   public:
     explicit Occupancy(unsigned ports)
-        : ports_(ports),
-          occ_(static_cast<std::size_t>(ports) * ports, 0)
+        : ports_(ports), words_((ports + 63) / 64),
+          occ_(static_cast<std::size_t>(ports) * ports, 0),
+          req_(static_cast<std::size_t>(ports) * words_, 0)
     {}
 
     unsigned ports() const { return ports_; }
@@ -59,10 +69,41 @@ class Occupancy
         return occ_[static_cast<std::size_t>(in) * ports_ + out];
     }
 
-    std::uint64_t &
-    at(unsigned in, unsigned out)
+    /** Set one VOQ depth, keeping its request bit in step. */
+    void
+    set(unsigned in, unsigned out, std::uint64_t cells)
     {
-        return occ_[static_cast<std::size_t>(in) * ports_ + out];
+        occ_[static_cast<std::size_t>(in) * ports_ + out] = cells;
+        auto &word = req_[static_cast<std::size_t>(in) * words_ + out / 64];
+        const auto bit = 1ull << (out % 64);
+        word = cells ? word | bit : word & ~bit;
+    }
+
+    /**
+     * Overwrite input `in`'s row in one copy.
+     * @param depths ports() VOQ depths (sim::Workload::credits())
+     * @param requests ceil(ports() / 64) bitmap words with bit j set
+     *        exactly when depths[j] > 0 (sim::Workload::creditedBits())
+     */
+    void
+    setRow(unsigned in, std::span<const std::uint64_t> depths,
+           std::span<const std::uint64_t> requests)
+    {
+        panic_if(depths.size() != ports_ || requests.size() != words_,
+                 "occupancy row of ", depths.size(), " depths and ",
+                 requests.size(), " words for ", ports_, " ports");
+        std::copy(depths.begin(), depths.end(),
+                  occ_.begin() + static_cast<std::ptrdiff_t>(in) * ports_);
+        std::copy(requests.begin(), requests.end(),
+                  req_.begin() + static_cast<std::ptrdiff_t>(in) * words_);
+    }
+
+    /** Input `in`'s request bitmap: ceil(ports() / 64) words, bit j
+     *  set exactly when at(in, j) > 0. */
+    const std::uint64_t *
+    requests(unsigned in) const
+    {
+        return &req_[static_cast<std::size_t>(in) * words_];
     }
 
     /** Total cells waiting at one input, across all its VOQs. */
@@ -75,19 +116,12 @@ class Occupancy
         return t;
     }
 
-    /** True when no VOQ holds any cell. */
-    bool
-    empty() const
-    {
-        for (const auto c : occ_)
-            if (c)
-                return false;
-        return true;
-    }
-
   private:
     unsigned ports_;
+    unsigned words_;  //!< per request bitmap
     std::vector<std::uint64_t> occ_;
+    /** Request bitmaps, words_ per input. */
+    std::vector<std::uint64_t> req_;
 };
 
 /**
@@ -151,9 +185,10 @@ class Scheduler
     /**
      * Compute this slot's matching from the occupancy snapshot.
      * @param occ start-of-slot VOQ depths (ports x ports)
-     * @return a conflict-free matching over non-empty VOQs
+     * @return a conflict-free matching over non-empty VOQs, owned by
+     *         the scheduler and overwritten by the next call
      */
-    virtual Matching schedule(const Occupancy &occ) = 0;
+    virtual const Matching &schedule(const Occupancy &occ) = 0;
 
     /** Matching passes the last schedule() call used. */
     virtual unsigned lastIterations() const = 0;
@@ -172,6 +207,13 @@ class Scheduler
  * iteration -- the rule that desynchronizes the pointers and gives
  * iSLIP its 100% uniform-throughput behavior.  Stops early once an
  * iteration adds no edge (the matching is then maximal).
+ *
+ * Bit-parallel: each slot first transposes the occupancy's request
+ * rows into per-output column masks; a grant is then the first set
+ * bit of (column & unmatched inputs) cyclically from the grant
+ * pointer, an accept the first set bit of the input's grant mask
+ * cyclically from its accept pointer.  Any radix works; the masks
+ * take ceil(N / 64) words each.
  */
 class IslipScheduler : public Scheduler
 {
@@ -184,7 +226,7 @@ class IslipScheduler : public Scheduler
     IslipScheduler(unsigned ports, unsigned iterations);
 
     std::string name() const override;
-    Matching schedule(const Occupancy &occ) override;
+    const Matching &schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
     void save(ser::Writer &w) const override;
     void load(ser::Reader &r) override;
@@ -197,9 +239,21 @@ class IslipScheduler : public Scheduler
   private:
     unsigned ports_;  // ser: config
     unsigned iterations_;  // ser: config
+    unsigned words_;  //!< words per bitmap [ser: config]
     unsigned last_iters_ = 0;  // ser: derived
     std::vector<unsigned> g_;  //!< grant pointer, per output
     std::vector<unsigned> a_;  //!< accept pointer, per input
+
+    // Per-slot scratch, sized at construction.
+    Matching match_;  // ser: derived
+    /** Column masks, words_ per output: bit i = input i requests. */
+    std::vector<std::uint64_t> cols_;  // ser: derived
+    /** Grant masks, words_ per input: bit j = output j granted it. */
+    std::vector<std::uint64_t> grants_;  // ser: derived
+    std::vector<std::uint64_t> free_in_;  //!< [ser: derived]
+    std::vector<std::uint64_t> free_out_;  //!< [ser: derived]
+    /** Inputs holding at least one grant this iteration. */
+    std::vector<std::uint64_t> granted_;  // ser: derived
 };
 
 /**
@@ -227,7 +281,7 @@ class QpsScheduler : public Scheduler
     QpsScheduler(unsigned ports, unsigned window, std::uint64_t seed);
 
     std::string name() const override;
-    Matching schedule(const Occupancy &occ) override;
+    const Matching &schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
     void save(ser::Writer &w) const override;
     void load(ser::Reader &r) override;
@@ -244,6 +298,11 @@ class QpsScheduler : public Scheduler
     Rng rng_;
     unsigned last_iters_ = 0;  // ser: derived
     std::vector<Hold> held_;  //!< per input
+
+    // Per-slot scratch, sized at construction.
+    Matching match_;  // ser: derived
+    std::vector<bool> out_taken_;  // ser: derived
+    std::vector<QueueId> proposal_;  //!< per input [ser: derived]
 };
 
 /**
@@ -258,7 +317,7 @@ class RandomMaximalScheduler : public Scheduler
     RandomMaximalScheduler(unsigned ports, std::uint64_t seed);
 
     std::string name() const override { return "random"; }
-    Matching schedule(const Occupancy &occ) override;
+    const Matching &schedule(const Occupancy &occ) override;
     unsigned lastIterations() const override { return last_iters_; }
     void save(ser::Writer &w) const override;
     void load(ser::Reader &r) override;
@@ -267,6 +326,11 @@ class RandomMaximalScheduler : public Scheduler
     unsigned ports_;  // ser: config
     Rng rng_;
     unsigned last_iters_ = 0;  // ser: derived
+
+    // Per-slot scratch, sized at construction.
+    Matching match_;  // ser: derived
+    std::vector<bool> out_taken_;  // ser: derived
+    std::vector<unsigned> order_;  //!< service order [ser: derived]
 };
 
 /**

@@ -97,6 +97,20 @@ class Workload
     /** Cells arrived but not yet requested, per queue. */
     std::uint64_t credit(QueueId q) const { return credit_[q]; }
 
+    /** Every queue's credit, indexed by queue. */
+    const std::vector<std::uint64_t> &credits() const { return credit_; }
+
+    /** The credited-queue bitmap: bit q % 64 of word q / 64 is set
+     *  exactly when credit(q) > 0. */
+    const std::vector<std::uint64_t> &
+    creditedBits() const
+    {
+        return credited_;
+    }
+
+    /** Queues holding credit: the bitmap's popcount. */
+    std::uint64_t creditedQueues() const { return credited_count_; }
+
     /** Arrivals rejected by the admission predicate. */
     std::uint64_t drops() const { return drops_; }
 

@@ -73,7 +73,7 @@ ScenarioRun::runTo(std::uint64_t slot)
              " (already at ", executed_, ")");
     fatal_if(slot > s_.slots, "slot ", slot,
              " beyond the leg's main phase (", s_.slots, " slots)");
-    last_ = runner_->run(slot - executed_);
+    runner_->run(slot - executed_);
     executed_ = slot;
 }
 

@@ -129,7 +129,6 @@ class ScenarioRun
     std::unique_ptr<buffer::HybridBuffer> buf_;
     std::unique_ptr<sim::SimRunner> runner_;
     std::uint64_t executed_ = 0;
-    sim::RunResult last_{};
 };
 
 /**

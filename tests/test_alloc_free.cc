@@ -1,10 +1,14 @@
 /**
  * @file
- * The steady-state cell path never touches the heap.
+ * The steady-state cell path and crossbar fabric slot never touch
+ * the heap.
  *
  * This binary replaces the global operator new/delete with counting
- * versions.  Each case warms one buffer up through SimRunner, then
- * asserts that the next run() makes zero allocations.
+ * versions.  Each buffer case warms one buffer up through SimRunner,
+ * then asserts that the next run() makes zero allocations.  Each
+ * fabric case does the same for CrossbarRun::runTo(): occupancy
+ * snapshot, scheduler, matching validation and every input's buffer
+ * slot.
  *
  * Storage grows lazily and never shrinks (block slabs, per-queue
  * rings, the ECQF calendar, the request register), and the random
@@ -13,8 +17,8 @@
  * therefore a replay: after warm-up the state is checkpointed, the
  * window runs once to size every structure, the checkpoint is
  * restored (restore keeps capacity), and the identical window runs
- * again under the counter.  Any allocation left is per-cell or
- * per-block work, which is what this test forbids.
+ * again under the counter.  Any allocation left is per-cell,
+ * per-block or per-slot work, which is what this test forbids.
  *
  * Out of scope: queue renaming (the RenamingTable keeps per-queue
  * deques) and measure-only mode (capacity 0, uncapped growth).
@@ -31,6 +35,7 @@
 #include "buffer/hybrid_buffer.hh"
 #include "common/serialize.hh"
 #include "core/system_config.hh"
+#include "crossbar/crossbar_sim.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
@@ -139,6 +144,37 @@ expectAllocationFree(const buffer::BufferConfig &cfg,
     EXPECT_EQ(runner.checker().granted(), res.arrivals);
 }
 
+/** The crossbar counterpart: a replayed window of fabric slots. */
+void
+expectFabricAllocationFree(const xbar::CrossbarConfig &cfg,
+                           std::uint64_t warmup, std::uint64_t window)
+{
+    xbar::CrossbarRun run(cfg);
+    std::uint64_t edges = 0;
+    run.onMatch = [&edges](Slot, const xbar::Occupancy &,
+                           const xbar::Matching &m, unsigned) {
+        edges += xbar::matchingSize(m);
+    };
+    run.runTo(warmup);
+    const auto warm = run.checkpoint();
+    run.runTo(warmup + window);
+    const auto sized = run.checkpoint();
+    run.restore(warm);
+
+    edges = 0;
+    g_allocations = 0;
+    g_counting = true;
+    run.runTo(warmup + window);
+    g_counting = false;
+
+    EXPECT_EQ(g_allocations, 0u)
+        << "heap allocations in " << window << " fabric slots";
+    EXPECT_EQ(run.checkpoint(), sized) << "the replay diverged";
+    EXPECT_GT(edges, window * cfg.ports / 4) << "the fabric sat idle";
+    const auto out = run.finish();
+    EXPECT_TRUE(out.passed) << out.failure;
+}
+
 /** The first leg of `matrix` matching `pred`. */
 template <typename Pred>
 sim::Scenario
@@ -179,4 +215,31 @@ TEST(AllocFree, TimedDramCfds)
                leg.workload == sim::WorkloadKind::Bernoulli;
     });
     expectAllocationFree(s.bufferConfig(), sim::makeWorkload(s));
+}
+
+TEST(AllocFree, CrossbarIslip16)
+{
+    xbar::CrossbarConfig cfg;
+    cfg.ports = 16;
+    cfg.scheduler = xbar::SchedulerKind::Islip;
+    cfg.islipIterations = 4;
+    cfg.load = 0.8;
+    cfg.slots = 12000;
+    cfg.masterSeed = 5;
+    expectFabricAllocationFree(cfg, 4000, 4000);
+}
+
+TEST(AllocFree, CrossbarQpsAndRandomMaximal)
+{
+    for (const auto kind : {xbar::SchedulerKind::Qps,
+                            xbar::SchedulerKind::RandomMaximal}) {
+        SCOPED_TRACE(xbar::toString(kind));
+        xbar::CrossbarConfig cfg;
+        cfg.ports = 6;
+        cfg.scheduler = kind;
+        cfg.load = 0.8;
+        cfg.slots = 12000;
+        cfg.masterSeed = 7;
+        expectFabricAllocationFree(cfg, 4000, 4000);
+    }
 }

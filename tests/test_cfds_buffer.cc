@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "buffer/hybrid_buffer.hh"
 #include "sim/runner.hh"
 #include "sim/workload.hh"
@@ -177,6 +179,22 @@ TEST(CfdsBuffer, SurvivesLongMixedSoak)
         left += bursty.credit(q);
     EXPECT_EQ(left, 0u);
     (void)uniform;
+}
+
+TEST(CfdsBuffer, ZeroGranularityIsFatalBeforeTheAddressMap)
+{
+    // b = 0 must end in the parameter check, not in B / b.
+    BufferConfig cfg;
+    cfg.params = model::BufferParams{8, 8, 0, 16};
+    try {
+        HybridBuffer buf(cfg);
+        ADD_FAILURE() << "b = 0 was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "granularities must be positive"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CfdsBuffer, RenamingRequiresCfdsAndDram)

@@ -2,15 +2,18 @@
  * @file
  * Tests of the crossbar layer (src/crossbar): per-slot matching
  * invariants for every scheduler x pattern combination, iSLIP's
- * pointer accept rule, a differential oracle against brute-force
- * maximum matchings, the 1x1 == single-buffer byte equivalence, the
+ * pointer accept rule, the word-level iSLIP against a scalar
+ * reference, a differential oracle against brute-force maximum
+ * matchings, the 1x1 == single-buffer byte equivalence, the
  * 16-port uniform throughput floor, checkpoint/restore bit identity
  * and the seeded crossbar fuzz smoke.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,21 +85,89 @@ makeOcc(unsigned ports,
     Occupancy occ(ports);
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)
-            occ.at(i, j) = rows[i][j];
+            occ.set(i, j, rows[i][j]);
     return occ;
 }
 
-/** A random sparse occupancy for the scheduler replay tests. */
+/** A random occupancy: each VOQ is backed with probability
+ *  `density`, by 1..5 cells. */
 Occupancy
-randomOcc(unsigned ports, Rng &rng)
+randomOcc(unsigned ports, Rng &rng, double density = 0.4)
 {
     Occupancy occ(ports);
     for (unsigned i = 0; i < ports; ++i)
         for (unsigned j = 0; j < ports; ++j)
-            if (rng.chance(0.4))
-                occ.at(i, j) = 1 + rng.below(5);
+            if (rng.chance(density))
+                occ.set(i, j, 1 + rng.below(5));
     return occ;
 }
+
+/**
+ * The scalar O(N^2) iSLIP: every grant and accept probes the ports
+ * one by one in cyclic order from its pointer.  The reference the
+ * word-level IslipScheduler must equal slot for slot.
+ */
+class ScalarIslip
+{
+  public:
+    ScalarIslip(unsigned ports, unsigned iterations)
+        : g(ports, 0), a(ports, 0), ports_(ports),
+          iterations_(iterations)
+    {}
+
+    Matching
+    schedule(const Occupancy &occ)
+    {
+        const unsigned n = ports_;
+        Matching match(n, kInvalidQueue);
+        std::vector<bool> out_matched(n, false);
+        iters = 0;
+        for (unsigned it = 0; it < iterations_; ++it) {
+            std::vector<QueueId> grant(n, kInvalidQueue);
+            for (unsigned j = 0; j < n; ++j) {
+                if (out_matched[j])
+                    continue;
+                for (unsigned k = 0; k < n; ++k) {
+                    const unsigned i = (g[j] + k) % n;
+                    if (match[i] == kInvalidQueue && occ.at(i, j) > 0) {
+                        grant[j] = i;
+                        break;
+                    }
+                }
+            }
+            bool progress = false;
+            for (unsigned i = 0; i < n; ++i) {
+                if (match[i] != kInvalidQueue)
+                    continue;
+                for (unsigned k = 0; k < n; ++k) {
+                    const unsigned j = (a[i] + k) % n;
+                    if (grant[j] != i)
+                        continue;
+                    match[i] = j;
+                    out_matched[j] = true;
+                    progress = true;
+                    if (it == 0) {
+                        g[j] = (i + 1) % n;
+                        a[i] = (j + 1) % n;
+                    }
+                    break;
+                }
+            }
+            if (!progress)
+                break;
+            ++iters;
+        }
+        return match;
+    }
+
+    unsigned iters = 0;
+    std::vector<unsigned> g;
+    std::vector<unsigned> a;
+
+  private:
+    unsigned ports_;
+    unsigned iterations_;
+};
 
 } // namespace
 
@@ -213,6 +284,54 @@ TEST(CrossbarScheduler, IslipLaterIterationsLeavePointersAlone)
     EXPECT_EQ(s.lastIterations(), 2u);
     EXPECT_EQ(s.grantPointers(), (std::vector<unsigned>{1, 0, 0, 0}));
     EXPECT_EQ(s.acceptPointers(), (std::vector<unsigned>{1, 0, 0, 0}));
+}
+
+TEST(CrossbarScheduler, WordLevelIslipMatchesTheScalarReference)
+{
+    // Radixes on both sides of every 64-bit word boundary, iteration
+    // budgets from 1 to N, densities from empty to full.  Halfway
+    // through each stream the scheduler is saved and loaded into a
+    // fresh instance, which must carry on in step.
+    const unsigned kPorts[] = {1, 2, 3, 16, 63, 64, 65, 130, 256};
+    const double kDensities[] = {0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0};
+    Rng rng(testutil::envU64("PKTBUF_FUZZ_SEED", 1));
+    for (const unsigned n : kPorts) {
+        const unsigned budgets[] = {
+            1, std::min(2u, n),
+            1 + static_cast<unsigned>(rng.below(n)), n};
+        const unsigned slots = n > 64 ? 6 : 24;
+        for (const unsigned iterations : budgets) {
+            for (const double density : kDensities) {
+                SCOPED_TRACE("ports=" + std::to_string(n) +
+                             " iterations=" +
+                             std::to_string(iterations) +
+                             " density=" + std::to_string(density));
+                auto live =
+                    std::make_unique<IslipScheduler>(n, iterations);
+                ScalarIslip ref(n, iterations);
+                for (unsigned t = 0; t < slots; ++t) {
+                    if (t == slots / 2) {
+                        ser::Writer w;
+                        live->save(w);
+                        live = std::make_unique<IslipScheduler>(
+                            n, iterations);
+                        ser::Reader r(w.bytes());
+                        live->load(r);
+                        r.done();
+                    }
+                    const auto occ = randomOcc(n, rng, density);
+                    ASSERT_EQ(live->schedule(occ), ref.schedule(occ))
+                        << "slot " << t;
+                    ASSERT_EQ(live->lastIterations(), ref.iters)
+                        << "slot " << t;
+                    ASSERT_EQ(live->grantPointers(), ref.g)
+                        << "slot " << t;
+                    ASSERT_EQ(live->acceptPointers(), ref.a)
+                        << "slot " << t;
+                }
+            }
+        }
+    }
 }
 
 TEST(CrossbarScheduler, SaveLoadReplaysEverySchedulerBitForBit)
