@@ -713,11 +713,22 @@ HybridBuffer::save(ser::Writer &w) const
 void
 HybridBuffer::load(ser::Reader &r)
 {
-    const auto load_pipe = [](ser::Reader &rr) {
-        PipeEntry e;
-        e.phys = rr.u32();
-        e.logical = rr.u32();
-        return e;
+    // A register entry is idle (kInvalidQueue) or names a configured
+    // queue; anything else would index past the per-queue state.
+    const unsigned logical = cfg_.effectiveLogicalQueues();
+    const auto load_pipe = [this, logical](const char *reg) {
+        return [this, logical, reg](ser::Reader &rr) {
+            PipeEntry e;
+            e.phys = rr.u32();
+            e.logical = rr.u32();
+            fatal_if(e.phys != kInvalidQueue && e.phys >= phys_queues_,
+                     "checkpoint: ", reg, " register holds physical queue ",
+                     e.phys, ", configured ", phys_queues_);
+            fatal_if(e.logical != kInvalidQueue && e.logical >= logical,
+                     "checkpoint: ", reg, " register holds logical queue ",
+                     e.logical, ", configured ", logical);
+            return e;
+        };
     };
     r.tag("HBUF");
     now_ = r.u64();
@@ -728,7 +739,7 @@ HybridBuffer::load(ser::Reader &r)
     hmma_.load(r);
     mma::MdqfMma::load(r, hmma_);
     tmma_.load(r);
-    look_.load(r, load_pipe);
+    look_.load(r, load_pipe("lookahead"));
     // Rebuild the ECQF event calendar from the restored lookahead
     // contents: stamps restart from zero, but only their relative
     // order matters and head-to-tail replay reproduces it exactly.
@@ -739,7 +750,7 @@ HybridBuffer::load(ser::Reader &r)
     });
     fatal_if(!r.b(), "checkpoint: latency register flag is false; every",
              " configuration has a latency register");
-    latency_.load(r, load_pipe);
+    latency_.load(r, load_pipe("latency"));
     orr_.load(r);
     sched_.load(r);
     const bool has_rt = r.b();

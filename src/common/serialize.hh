@@ -1,8 +1,8 @@
 /**
  * @file
- * Byte-exact serialization primitives for the soak layer's
- * checkpoint/restore: a little-endian, fixed-width Writer/Reader
- * pair plus the FNV-1a fingerprint shared by the checkpoint header.
+ * Byte-exact serialization primitives for checkpoint/restore: a
+ * little-endian, fixed-width Writer/Reader pair, the FNV-1a
+ * fingerprint and the versioned "PKCK" envelope around a payload.
  *
  * The codec is deliberately dumb: every field is written explicitly,
  * in declaration order, with no padding, no varints and no implicit
@@ -228,6 +228,66 @@ class Reader
     std::string_view buf_;
     std::size_t pos_ = 0;
 };
+
+/*
+ * The checkpoint envelope, a versioned binary format:
+ *
+ *   "PKCK"             4-byte magic tag
+ *   version            u32 (currently 1)
+ *   config fingerprint u64 -- FNV-1a of the owner's describe() text,
+ *                      so a checkpoint can only be restored into the
+ *                      same configuration (grid, seed, slots, timing)
+ *   payload            length-prefixed bytes (every layer's save())
+ *   checksum           u64 -- FNV-1a of the payload bytes
+ *
+ * Any mismatch -- wrong magic, unknown version, foreign fingerprint,
+ * short read, corrupt checksum, trailing bytes -- raises FatalError.
+ */
+
+/** Current envelope version; bumped on any layout change. */
+inline constexpr std::uint32_t kCheckpointVersion = 1;
+
+/**
+ * Wrap a serialized payload in the versioned envelope.
+ * @param payload the concatenated save() bytes of every layer
+ * @param config_fingerprint FNV-1a of the owner's describe()
+ * @return the envelope bytes
+ */
+inline std::string
+sealCheckpoint(std::string_view payload, std::uint64_t config_fingerprint)
+{
+    Writer w;
+    w.tag("PKCK");
+    w.u32(kCheckpointVersion);
+    w.u64(config_fingerprint);
+    w.str(payload);
+    w.u64(fnv1a(payload));
+    return w.take();
+}
+
+/** Validate an envelope and extract its payload; FatalError on any
+ *  corruption or configuration mismatch. */
+inline std::string
+openCheckpoint(std::string_view bytes, std::uint64_t config_fingerprint)
+{
+    Reader r(bytes);
+    r.tag("PKCK");
+    const auto version = r.u32();
+    fatal_if(version != kCheckpointVersion, "checkpoint: version ",
+             version, " not supported (this build reads ",
+             kCheckpointVersion, ")");
+    const auto fp = r.u64();
+    fatal_if(fp != config_fingerprint,
+             "checkpoint: built for a different configuration "
+             "(fingerprint ", fp, ", this leg is ",
+             config_fingerprint, ")");
+    std::string payload = r.str();
+    const auto sum = r.u64();
+    fatal_if(sum != fnv1a(payload),
+             "checkpoint: payload checksum mismatch (corrupt file?)");
+    r.done();
+    return payload;
+}
 
 } // namespace pktbuf::ser
 

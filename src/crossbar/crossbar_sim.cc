@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <exception>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
@@ -278,15 +280,12 @@ CrossbarRun::CrossbarRun(const CrossbarConfig &cfg)
 {
     inputs_.reserve(cfg.ports);
     for (unsigned i = 0; i < cfg.ports; ++i) {
-        // The factory runs synchronously inside the ScenarioRun
-        // constructor and hands back the owning pointer; wl_ keeps
-        // the derived view for grant injection.
-        inputs_.push_back(std::make_unique<soak::ScenarioRun>(
-            plans_[i].scenario, [this, i] {
-                auto w = makeInputWorkload(plans_[i]);
-                wl_[i] = w.get();
-                return w;
-            }));
+        // The leg owns the workload; wl_ keeps the derived view for
+        // grant injection.
+        auto w = makeInputWorkload(plans_[i]);
+        wl_[i] = w.get();
+        inputs_.push_back(
+            std::make_unique<sim::Leg>(plans_[i].scenario, std::move(w)));
     }
 }
 
@@ -367,14 +366,13 @@ CrossbarRun::checkpoint() const
     w.u64(inputs_.size());
     for (const auto &in : inputs_)
         w.str(in->checkpoint());
-    return soak::sealCheckpoint(w.bytes(), fingerprint_);
+    return ser::sealCheckpoint(w.bytes(), fingerprint_);
 }
 
 void
 CrossbarRun::restore(const std::string &bytes)
 {
-    const std::string payload =
-        soak::openCheckpoint(bytes, fingerprint_);
+    const std::string payload = ser::openCheckpoint(bytes, fingerprint_);
     ser::Reader r(payload);
     r.tag("XBAR");
     executed_ = r.u64();

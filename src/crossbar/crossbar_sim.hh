@@ -11,14 +11,14 @@
  * finally interact with fabric-induced contention.
  *
  * The layering deliberately adds no second simulation code path:
- * input i *is* a soak::ScenarioRun (the checkpointable
- * runScenarioWith() skeleton) whose workload's requests are the
- * matching engine's grants.  Per slot the engine asks the workloads'
- * credited-queue counts whether any VOQ is backed; if so it copies
- * every input's credits and credited-queue bitmap into the one
- * Occupancy it owns, asks the scheduler for a matching, validates it
- * (conflict-free, backed -- panics otherwise: a bad matching is a
- * scheduler bug) and injects each grant into its input's workload.
+ * input i *is* a sim::Leg (the checkpointable leg driver every layer
+ * uses) whose workload's requests are the matching engine's grants.
+ * Per slot the engine asks the workloads' credited-queue counts
+ * whether any VOQ is backed; if so it copies every input's credits
+ * and credited-queue bitmap into the one Occupancy it owns, asks the
+ * scheduler for a matching, validates it (conflict-free, backed --
+ * panics otherwise: a bad matching is a scheduler bug) and injects
+ * each grant into its input's workload.
  * Then it advances all inputs one lockstep slot; a steady-state
  * slot allocates nothing.  A 1x1 crossbar therefore reproduces the
  * matching single-buffer scenario leg bit-for-bit (any maximal
@@ -47,9 +47,9 @@
 #include <vector>
 
 #include "crossbar/scheduler.hh"
+#include "sim/leg.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
-#include "soak/checkpoint.hh"
 #include "sweep/record.hh"
 #include "switch/switch_sim.hh"
 #include "switch/traffic.hh"
@@ -229,10 +229,10 @@ struct CrossbarOutcome
 };
 
 /**
- * The crossbar engine: N lockstep ScenarioRun inputs coupled by the
+ * The crossbar engine: N lockstep sim::Leg inputs coupled by the
  * matching scheduler.  Checkpointable at any main-phase slot.
  *
- * Usage mirrors soak::ScenarioRun:
+ * Usage mirrors sim::Leg:
  *   CrossbarRun a(cfg);
  *   a.runTo(k);
  *   auto bytes = a.checkpoint();
@@ -257,10 +257,10 @@ class CrossbarRun
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * Snapshot the fabric into a sealed soak envelope ("PKCK",
+     * Snapshot the fabric into a sealed envelope ("PKCK",
      * fingerprinted with *this* config's describe() text): slot
      * cursor, fabric counters, scheduler state, then every input's
-     * own sealed ScenarioRun envelope, length-prefixed.
+     * own sealed sim::Leg envelope, length-prefixed.
      */
     std::string checkpoint() const;
 
@@ -270,7 +270,7 @@ class CrossbarRun
 
     /**
      * Run the remaining main-phase slots, then complete every input
-     * through soak::ScenarioRun::finish() (golden totals, full
+     * through sim::Leg::finish() (golden totals, full
      * drain) and aggregate the crossbar report.
      */
     CrossbarOutcome finish();
@@ -292,7 +292,7 @@ class CrossbarRun
     std::vector<InputPlan> plans_;
     std::uint64_t fingerprint_;
     std::unique_ptr<Scheduler> sched_;
-    std::vector<std::unique_ptr<soak::ScenarioRun>> inputs_;
+    std::vector<std::unique_ptr<sim::Leg>> inputs_;
     /** The inputs' workloads (owned by inputs_), for grant
      *  injection and occupancy snapshots. */
     std::vector<CrossbarPortWorkload *> wl_;

@@ -44,6 +44,9 @@ class SimRunner
 
     const GoldenChecker &checker() const { return checker_; }
 
+    /** Slots stepped so far, run() and drain() together. */
+    std::uint64_t slots() const { return slots_; }
+
     /** Drain: stop feeding arrivals, request every remaining cell
      *  round-robin until all credited cells are granted (or the slot
      *  budget runs out).  Returns grants delivered while draining. */
@@ -52,7 +55,7 @@ class SimRunner
     /**
      * Checkpoint the runner's own accumulators (golden checker,
      * delay sampler, counters).  The buffer and workload are saved
-     * separately by the soak layer; restoring pairs this state with
+     * separately by sim::Leg; restoring pairs this state with
      * a runner constructed over the restored buffer/workload.
      */
     void save(ser::Writer &w) const;

@@ -1,12 +1,12 @@
 #include "switch_sim.hh"
 
 #include <algorithm>
-#include <exception>
 #include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "sim/leg.hh"
 #include "sim/workload.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
@@ -264,16 +264,9 @@ makePortWorkload(const PortPlan &plan)
 sim::ScenarioOutcome
 runPort(const PortPlan &plan)
 {
-    std::unique_ptr<sim::Workload> wl;
-    try {
-        wl = makePortWorkload(plan);
-    } catch (const std::exception &e) {
-        sim::ScenarioOutcome out;
-        out.failure = std::string("exception: ") + e.what() + "; [" +
-                      plan.scenario.describe() + "]";
-        return out;
-    }
-    return sim::runScenarioWith(plan.scenario, *wl);
+    return sim::guardLeg(plan.scenario, [&] {
+        return sim::Leg(plan.scenario, makePortWorkload(plan)).finish();
+    });
 }
 
 PortStatAgg

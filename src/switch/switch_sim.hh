@@ -18,7 +18,7 @@
  *
  * The load-bearing invariant: a 1-port switch under the uniform
  * pattern builds the very Scenario a single-buffer matrix leg would
- * build and runs it through the same runScenarioWith() skeleton, so
+ * build and runs it through the same sim::Leg driver, so
  * its per-port outcome reproduces that leg bit-for-bit.  The switch
  * layer adds traffic *shape*, never a second simulation code path.
  */
@@ -196,7 +196,7 @@ std::unique_ptr<sim::Workload> makePortWorkload(const PortPlan &plan);
 
 /**
  * Run one port end to end (golden checker on, full drain) through
- * the same runScenarioWith() skeleton the matrix legs use.  Never
+ * the same sim::Leg driver the matrix legs use.  Never
  * throws; failures carry the scenario description and seed.
  */
 sim::ScenarioOutcome runPort(const PortPlan &plan);

@@ -23,6 +23,7 @@
 #include "crossbar/crossbar_sim.hh"
 #include "crossbar/scheduler.hh"
 #include "fuzz_env.hh"
+#include "sim/leg.hh"
 #include "sweep/scenario_sweep.hh"
 #include "sweep/sweep.hh"
 
@@ -536,9 +537,9 @@ TEST(CrossbarEquivalence, OnePortReproducesSingleBufferLeg)
     // The load-bearing layering invariant: a 1x1 crossbar *is* the
     // matching single-buffer scenario leg.  Any maximal scheduler is
     // work-conserving at N == 1, which is exactly what the
-    // self-greedy reference workload plays back through the plain
-    // runScenarioWith() skeleton -- so the serialized scenario
-    // records must agree byte for byte, for every scheduler.
+    // self-greedy reference workload plays back through a plain
+    // sim::Leg -- so the serialized scenario records must agree byte
+    // for byte, for every scheduler.
     for (const auto kind : kAllKinds) {
         SCOPED_TRACE(toString(kind));
         CrossbarConfig cfg =
@@ -550,9 +551,10 @@ TEST(CrossbarEquivalence, OnePortReproducesSingleBufferLeg)
         ASSERT_EQ(out.inputs.size(), 1u);
 
         const auto plans = planCrossbar(cfg);
-        auto ref = makeInputWorkload(plans[0], /*self_greedy=*/true);
         const auto leg =
-            sim::runScenarioWith(plans[0].scenario, *ref);
+            sim::Leg(plans[0].scenario,
+                     makeInputWorkload(plans[0], /*self_greedy=*/true))
+                .finish();
         EXPECT_TRUE(leg.passed) << leg.failure;
         EXPECT_EQ(
             recordJson(sweep::scenarioRecord(plans[0].scenario,

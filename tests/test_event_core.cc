@@ -44,10 +44,10 @@
 #include "fuzz_env.hh"
 #include "mma/ecqf.hh"
 #include "mma/tail_mma.hh"
+#include "sim/leg.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/workload.hh"
-#include "soak/checkpoint.hh"
 #include "sram/head_sram.hh"
 #include "sram/tail_sram.hh"
 #include "sweep/emit.hh"
@@ -178,7 +178,7 @@ TEST(PinnedReference, CheckpointBytes)
     EXPECT_EQ(pinnedCount("checkpoint"), 15u);
     for (const auto &s : checkpointLegs()) {
         SCOPED_TRACE(s.describe());
-        soak::ScenarioRun run(s);
+        sim::Leg run(s);
         for (const unsigned pct : {25u, 50u, 75u}) {
             run.runTo(s.slots * pct / 100);
             expectPinned("checkpoint " + s.name() + "@" +

@@ -399,3 +399,38 @@ TEST(Whitebox, LoadRejectsAMissingLatencyRegister)
     });
     EXPECT_NE(err.find("latency register"), std::string::npos) << err;
 }
+
+TEST(Whitebox, LoadRejectsARegisterQueueIdBeyondTheConfiguredQueues)
+{
+    HybridBuffer buf(config(4, 8, 2, 16));
+    runTraffic(buf);
+    const std::uint64_t look = buf.lookaheadDepth();
+    const std::uint64_t lat = buf.latencyDepth();
+    // The lookahead register is laid out like the latency register
+    // (u64 depth, u64 head, 8 bytes per stage) and ends at the
+    // latency register's presence flag; each stage is a (u32
+    // physical, u32 logical) pair.
+    const auto flag = [lat](const std::string &bytes) {
+        const auto orr = bytes.find("ORRG");
+        EXPECT_NE(orr, std::string::npos);
+        return orr - (16 + 8 * lat) - 1;
+    };
+    // A physical id of Q would index past the head MMA's per-queue
+    // state when the calendar is rebuilt from the register.
+    const auto phys = loadError(buf, [&](std::string &bytes) {
+        const std::size_t at = flag(bytes) - 8 * look;
+        putU64(bytes, at, 4 | (getU64(bytes, at) & ~0xffffffffull));
+    });
+    EXPECT_NE(phys.find("lookahead register holds physical queue 4"),
+              std::string::npos)
+        << phys;
+    // The logical id of the latency register's first stage.
+    const auto logical = loadError(buf, [&](std::string &bytes) {
+        const std::size_t at = flag(bytes) + 1 + 16;
+        putU64(bytes, at,
+               (getU64(bytes, at) & 0xffffffffull) | (4ull << 32));
+    });
+    EXPECT_NE(logical.find("latency register holds logical queue 4"),
+              std::string::npos)
+        << logical;
+}

@@ -1,10 +1,11 @@
 /**
  * @file
- * Soak-layer tests: the serialization codec, the joint P^2 streaming
+ * Soak tests: the serialization codec, the joint P^2 streaming
  * quantile estimator, the STRG stat-registry decoder, the checkpoint
- * envelope (including corruption rejection), and the layer's core
- * invariant -- save-at-slot-k + restore-into-fresh-objects + run-to-N
- * is bit-identical to an unbroken N-slot run, on every scenario-matrix
+ * envelope (including corruption rejection), sim::Leg's restore
+ * checks and failure text, and the core invariant --
+ * save-at-slot-k + restore-into-fresh-objects + run-to-N is
+ * bit-identical to an unbroken N-slot run, on every scenario-matrix
  * leg, every timing leg, and a multi-port switch smoke.
  */
 
@@ -15,8 +16,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -24,7 +27,7 @@
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "fuzz_env.hh"
-#include "soak/checkpoint.hh"
+#include "sim/leg.hh"
 #include "sweep/emit.hh"
 #include "sweep/scenario_sweep.hh"
 #include "switch/switch_sim.hh"
@@ -302,52 +305,41 @@ TEST(StatRegistry, LoadRejectsANonzeroQuantileCount)
 TEST(CheckpointEnvelope, SealOpenRoundTrip)
 {
     const std::string payload = "arbitrary \x00\x01\x02 bytes";
-    const auto sealed = soak::sealCheckpoint(payload, 0x1234);
-    EXPECT_EQ(soak::openCheckpoint(sealed, 0x1234), payload);
+    const auto sealed = ser::sealCheckpoint(payload, 0x1234);
+    EXPECT_EQ(ser::openCheckpoint(sealed, 0x1234), payload);
 }
 
 TEST(CheckpointEnvelope, RejectsCorruptionAndMismatch)
 {
     const std::string payload(256, 'z');
-    const auto sealed = soak::sealCheckpoint(payload, 77);
+    const auto sealed = ser::sealCheckpoint(payload, 77);
 
     // Wrong configuration fingerprint.
-    EXPECT_THROW(soak::openCheckpoint(sealed, 78), FatalError);
+    EXPECT_THROW(ser::openCheckpoint(sealed, 78), FatalError);
     // Truncation (short read).
     EXPECT_THROW(
-        soak::openCheckpoint(sealed.substr(0, sealed.size() / 2), 77),
+        ser::openCheckpoint(sealed.substr(0, sealed.size() / 2), 77),
         FatalError);
     // Bit rot in the payload flips the checksum.
     {
         std::string bad = sealed;
         bad[bad.size() / 2] ^= 0x40;
-        EXPECT_THROW(soak::openCheckpoint(bad, 77), FatalError);
+        EXPECT_THROW(ser::openCheckpoint(bad, 77), FatalError);
     }
     // Unknown version.
     {
         std::string bad = sealed;
         bad[4] = 0x7f;  // version lives right after the 4-byte magic
-        EXPECT_THROW(soak::openCheckpoint(bad, 77), FatalError);
+        EXPECT_THROW(ser::openCheckpoint(bad, 77), FatalError);
     }
     // Trailing garbage.
-    EXPECT_THROW(soak::openCheckpoint(sealed + "!", 77), FatalError);
+    EXPECT_THROW(ser::openCheckpoint(sealed + "!", 77), FatalError);
     // Wrong magic.
     {
         std::string bad = sealed;
         bad[0] = 'X';
-        EXPECT_THROW(soak::openCheckpoint(bad, 77), FatalError);
+        EXPECT_THROW(ser::openCheckpoint(bad, 77), FatalError);
     }
-}
-
-TEST(CheckpointEnvelope, FileRoundTripAndMissingFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "pktbuf_ck_test.bin";
-    const auto sealed = soak::sealCheckpoint("state", 1);
-    sweep::writeFileOrDie(path, sealed);
-    EXPECT_EQ(soak::readFile(path), sealed);
-    std::remove(path.c_str());
-    EXPECT_THROW(soak::readFile(path), FatalError);
 }
 
 TEST(CheckpointEnvelope, RestoreRejectsForeignLeg)
@@ -356,11 +348,97 @@ TEST(CheckpointEnvelope, RestoreRejectsForeignLeg)
     // describe() fingerprint differs (different seed).
     auto legs = sim::smokeMatrix();
     ASSERT_GE(legs.size(), 2u);
-    soak::ScenarioRun a(legs[0]);
+    sim::Leg a(legs[0]);
     a.runTo(100);
     const auto bytes = a.checkpoint();
-    soak::ScenarioRun b(legs[1]);
+    sim::Leg b(legs[1]);
     EXPECT_THROW(b.restore(bytes), FatalError);
+}
+
+/**
+ * Checkpoint `s` at slot `at`, let `edit` change the SOAK payload,
+ * reseal it and restore it into a fresh leg.
+ * @return the FatalError text, or "" if the restore was accepted
+ */
+std::string
+restoreError(const sim::Scenario &s, std::uint64_t at,
+             const std::function<void(std::string &)> &edit)
+{
+    const std::uint64_t fp = ser::fnv1a(s.describe());
+    sim::Leg a(s);
+    a.runTo(at);
+    std::string payload = ser::openCheckpoint(a.checkpoint(), fp);
+    edit(payload);
+    sim::Leg b(s);
+    try {
+        b.restore(ser::sealCheckpoint(payload, fp));
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Little-endian u64 at byte `at` of `bytes`, plus `delta`. */
+void
+addU64(std::string &bytes, std::size_t at, std::uint64_t delta)
+{
+    ASSERT_LE(at + 8, bytes.size());
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+    v += delta;
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+TEST(CheckpointEnvelope, RestoreRejectsACursorThatDisagreesWithTheRunner)
+{
+    // The SOAK header's cursor and the SRUN section's slot count
+    // (the payload's last u64) record the same fact; a payload whose
+    // two copies disagree must not restore.
+    const auto s = sim::smokeMatrix().front();
+    EXPECT_EQ(restoreError(s, 100, [](std::string &) {}), "");
+    const auto cursor = restoreError(s, 100, [](std::string &p) {
+        addU64(p, 4, 1);  // right after the "SOAK" tag
+    });
+    EXPECT_NE(cursor.find("SRUN slot count"), std::string::npos)
+        << cursor;
+    const auto srun = restoreError(s, 100, [](std::string &p) {
+        addU64(p, p.size() - 8, 1);
+    });
+    EXPECT_NE(srun.find("SRUN slot count"), std::string::npos) << srun;
+}
+
+// ------------------------------------------------- failure text
+
+TEST(LegFailure, EveryEntryReportsAConstructionFailureTheSameWay)
+{
+    // A leg whose buffer cannot be built (b must divide B) fails the
+    // same way through every never-throwing entry.
+    sim::Scenario s;
+    s.variant = sim::BufferVariant::Cfds;
+    s.granRads = 8;
+    s.gran = 3;
+    s.slots = 1000;
+    sw::PortPlan plan;
+    plan.scenario = s;
+    const std::string tail = "[" + s.describe() + "]";
+    const std::vector<std::pair<std::string, sim::ScenarioOutcome>>
+        outs = {{"runScenario", sim::runScenario(s)},
+                {"runScenario every", sim::runScenario(s, 100)},
+                {"runPort", sw::runPort(plan)}};
+    for (const auto &[entry, out] : outs) {
+        SCOPED_TRACE(entry);
+        EXPECT_FALSE(out.passed);
+        EXPECT_EQ(out.failure.rfind("exception: ", 0), 0u)
+            << out.failure;
+        EXPECT_NE(out.failure.find("b=3 must divide B=8"),
+                  std::string::npos)
+            << out.failure;
+        ASSERT_GE(out.failure.size(), tail.size());
+        EXPECT_EQ(out.failure.substr(out.failure.size() - tail.size()),
+                  tail);
+    }
 }
 
 // ------------------------------------------------- bit identity
@@ -400,10 +478,10 @@ expectBitIdentical(const sim::Scenario &s)
     const auto expect = recordBytes(s, plain);
     for (const unsigned pct : {25u, 50u, 75u}) {
         SCOPED_TRACE("save at " + std::to_string(pct) + "%");
-        soak::ScenarioRun a(s);
+        sim::Leg a(s);
         a.runTo(s.slots * pct / 100);
         const auto bytes = a.checkpoint();
-        soak::ScenarioRun b(s);
+        sim::Leg b(s);
         b.restore(bytes);
         const auto seg = b.finish();
         EXPECT_EQ(seg.passed, plain.passed);
@@ -430,8 +508,7 @@ TEST(SoakBitIdentity, CheckpointEveryMSelfTest)
     for (const auto &s : sim::smokeMatrix()) {
         SCOPED_TRACE(s.describe());
         const auto plain = sim::runScenario(s);
-        const auto seg =
-            soak::runScenarioCheckpointed(s, s.slots / 7 + 1);
+        const auto seg = sim::runScenario(s, s.slots / 7 + 1);
         EXPECT_EQ(recordBytes(s, seg), recordBytes(s, plain));
     }
 }
@@ -440,7 +517,7 @@ TEST(SoakBitIdentity, FourPortSwitchSmoke)
 {
     // A 4-port mixed-variant switch: every port (CFDS, RADS,
     // renaming) checkpoints and restores through the same driver,
-    // with the port's workload injected via the factory.
+    // with the port's workload handed to the leg.
     sw::SwitchConfig cfg;
     cfg.ports = 4;
     cfg.mixedVariants = true;
@@ -452,15 +529,12 @@ TEST(SoakBitIdentity, FourPortSwitchSmoke)
                      plan.scenario.describe());
         const auto plain = sw::runPort(plan);
         const auto expect = portRecordBytes(plan, plain);
-        const auto factory = [&plan] {
-            return sw::makePortWorkload(plan);
-        };
         for (const unsigned pct : {25u, 50u, 75u}) {
             SCOPED_TRACE("save at " + std::to_string(pct) + "%");
-            soak::ScenarioRun a(plan.scenario, factory);
+            sim::Leg a(plan.scenario, sw::makePortWorkload(plan));
             a.runTo(plan.scenario.slots * pct / 100);
             const auto bytes = a.checkpoint();
-            soak::ScenarioRun b(plan.scenario, factory);
+            sim::Leg b(plan.scenario, sw::makePortWorkload(plan));
             b.restore(bytes);
             const auto seg = b.finish();
             EXPECT_EQ(seg.passed, plain.passed);
@@ -504,7 +578,7 @@ TEST(SoakFuzzSmoke, RandomLegsSurviveCheckpointCycles)
         SCOPED_TRACE(desc.str());
         const bool failed_before = ::testing::Test::HasFailure();
         const auto plain = sim::runScenario(s);
-        const auto seg = soak::runScenarioCheckpointed(s, every);
+        const auto seg = sim::runScenario(s, every);
         EXPECT_EQ(seg.passed, plain.passed)
             << "plain: " << plain.failure
             << " seg: " << seg.failure;
@@ -515,7 +589,7 @@ TEST(SoakFuzzSmoke, RandomLegsSurviveCheckpointCycles)
             // the exact leg parameters.  Best effort -- an
             // unwritable directory must not mask the real failure.
             try {
-                soak::ScenarioRun run(s);
+                sim::Leg run(s);
                 run.runTo(s.slots / 2);
                 const std::string stem = std::string(artifact_dir) +
                     "/soak_fail_iter" + std::to_string(it);
